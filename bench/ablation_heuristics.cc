@@ -38,7 +38,7 @@ int main() {
       cfg.max_work_per_step = kBudget / 6;
       cfg.pool.strategy = v.strategy;
       cfg.polling_visit_threshold = v.polling_threshold;
-      core::EngineResult r = core::ReverseEngineer(drivers::DriverImage(id), cfg);
+      core::EngineResult r = core::Engine(drivers::DriverImage(id), cfg).Run();
       printf("%13.1f%%", r.CoveragePercent());
     }
     printf("\n");

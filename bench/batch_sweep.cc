@@ -1,20 +1,20 @@
-// PR 10 perf ledger: static split vs fleet scheduler across the full batch.
+// Batch sweep: the fleet scheduler across the full driver batch.
 //
-// Runs all registered drivers through core::RunBatch three times -- the PR 8
-// static outer x inner thread split, the fleet with stealing disabled, and
-// the fleet with deterministic work stealing -- and reports the batch
-// makespan of each mode. Makespans are deterministic virtual placements over
+// Runs all registered drivers through core::RunBatch on one shared fleet
+// and reports the batch makespan two ways, both computed from that one
+// run's records: the LPT placement the stealing fleet converges to, and the
+// best static outer x inner split of the same per-task work as a
+// comparison column. Makespans are deterministic virtual placements over
 // the RECORDED per-task work units (executed translation blocks,
 // machine-independent; see core/fleet.h), so the numbers reproduce bit for
-// bit on any host: wall-clock on a 1-core CI box proves nothing about a
-// scheduler. The merged checkpoints are byte-identical across all three
-// modes (pinned by tests/dist_test.cc); only placement changes.
+// bit on any host. The merged checkpoints do not depend on placement
+// (pinned by tests/dist_test.cc).
 //
 // Flags:
 //   --json=PATH    machine-readable results (BENCH_pr10.json in CI)
 //   --max-work=N   per-driver exercise budget (default 60000: big enough for
 //                  per-step skew to show, small enough for the smoke tier)
-//   --fleet=N      fleet lane count for the fleet modes (default 4)
+//   --fleet=N      fleet lane count (default 4)
 #include <cstring>
 #include <string>
 #include <vector>
@@ -30,63 +30,6 @@ struct DriverRow {
   revnic::core::ParallelExerciseStats stats;
   revnic::bench::WorkHistogram hist;
 };
-
-struct ModeResult {
-  std::string label;
-  bool ok = false;
-  bool fleet_used = false;
-  revnic::core::FleetBatchStats fleet;
-  std::vector<DriverRow> drivers;
-};
-
-ModeResult RunMode(const char* label, uint64_t max_work, unsigned fleet_lanes,
-                   bool steal) {
-  using namespace revnic;
-  ModeResult mode;
-  mode.label = label;
-
-  core::ExercisePlan plan;
-  plan.sub_shards = 4;
-  if (fleet_lanes >= 1) {
-    plan.fleet = fleet_lanes;
-    plan.steal = steal;
-    plan.threads = 0;  // defer sizing: RunBatch forces fleet jobs parallel-shaped
-  } else {
-    plan.threads = 2;  // the PR 8 static split reference shape
-  }
-
-  std::vector<core::BatchJob> jobs;
-  for (const drivers::TargetInfo& t : drivers::AllTargets()) {
-    core::BatchJob job;
-    job.name = t.name;
-    job.image = &drivers::DriverImage(t.id);
-    job.config.pci = drivers::DriverPci(t.id);
-    job.config.max_work = max_work;
-    job.config.plan = plan;
-    jobs.push_back(std::move(job));
-  }
-  core::BatchOptions options;
-  if (fleet_lanes >= 1) {
-    options.plan = plan;
-  }
-  core::BatchResult batch = core::RunBatch(jobs, options);
-  mode.ok = batch.AllOk();
-  mode.fleet_used = batch.fleet_used;
-  mode.fleet = batch.fleet;
-  for (const core::BatchJobResult& job : batch.jobs) {
-    if (!job.ok) {
-      fprintf(stderr, "%s: %s failed: %s\n", label, job.name.c_str(),
-              job.error.c_str());
-      continue;
-    }
-    DriverRow row;
-    row.name = job.name;
-    row.stats = job.result.engine.parallel;
-    row.hist = bench::SummarizeTaskWorks(row.stats.task_works);
-    mode.drivers.push_back(std::move(row));
-  }
-  return mode;
-}
 
 }  // namespace
 
@@ -108,65 +51,70 @@ int main(int argc, char** argv) {
     }
   }
 
-  bench::PrintHeader("Batch sweep: static split vs fleet scheduler", "PR 10 ledger");
+  bench::PrintHeader("Batch sweep: the shared fleet scheduler", "the perf ledger");
   printf("drivers: all registered, max-work=%llu, fleet=%u "
          "(makespans are deterministic virtual placements over recorded work "
          "units)\n\n",
          (unsigned long long)max_work, fleet_lanes);
 
-  std::vector<ModeResult> modes;
-  modes.push_back(RunMode("static split (PR 8)", max_work, 0, false));
-  modes.push_back(RunMode("fleet no-steal", max_work, fleet_lanes, false));
-  modes.push_back(RunMode("fleet steal", max_work, fleet_lanes, true));
-
-  bool all_ok = true;
-  printf("%-22s %10s %10s %10s %10s %8s %8s\n", "mode", "makespan", "static",
-         "no-steal", "steal", "tasks", "v-steals");
-  for (const ModeResult& m : modes) {
-    all_ok = all_ok && m.ok;
-    if (!m.ok) {
-      printf("%-22s %10s\n", m.label.c_str(), "FAILED");
-      continue;
-    }
-    if (!m.fleet_used) {
-      // Static mode never enters the fleet; its virtual makespan is the
-      // static model the fleet runs compute from the SAME task records
-      // (identical bytes => identical per-task work), printed on their rows.
-      printf("%-22s %10s %10s %10s %10s %8s %8s\n", m.label.c_str(), "-", "-", "-",
-             "-", "-", "-");
-      continue;
-    }
-    printf("%-22s %10llu %10llu %10llu %10llu %8u %8u\n", m.label.c_str(),
-           (unsigned long long)m.fleet.makespan,
-           (unsigned long long)m.fleet.static_makespan,
-           (unsigned long long)m.fleet.no_steal_makespan,
-           (unsigned long long)m.fleet.steal_makespan, m.fleet.tasks,
-           m.fleet.virtual_steals);
+  core::ExercisePlan plan;
+  plan.sub_shards = 4;
+  plan.fleet = fleet_lanes;
+  plan.threads = 0;  // jobs defer to the batch template and share its fleet
+  std::vector<core::BatchJob> jobs;
+  for (const drivers::TargetInfo& t : drivers::AllTargets()) {
+    core::BatchJob job;
+    job.name = t.name;
+    job.image = &drivers::DriverImage(t.id);
+    job.config.pci = drivers::DriverPci(t.id);
+    job.config.max_work = max_work;
+    job.config.plan = plan;
+    jobs.push_back(std::move(job));
   }
+  core::BatchOptions options;
+  options.plan = plan;
+  core::BatchResult batch = core::RunBatch(jobs, options);
 
-  const ModeResult& steal_mode = modes.back();
-  if (steal_mode.ok && steal_mode.fleet_used) {
-    const core::FleetBatchStats& f = steal_mode.fleet;
-    printf("\nfleet=%u, spine floor %llu, total fan-out work %llu; steal vs "
-           "static: %llu vs %llu (%.1f%% shorter)\n",
-           f.workers, (unsigned long long)f.max_spine_work,
-           (unsigned long long)f.total_task_work, (unsigned long long)f.steal_makespan,
-           (unsigned long long)f.static_makespan,
-           f.static_makespan == 0
-               ? 0.0
-               : 100.0 * (1.0 - (double)f.steal_makespan / (double)f.static_makespan));
-    printf("\nper-driver fan-out (fleet steal run):\n");
+  std::vector<DriverRow> rows;
+  for (const core::BatchJobResult& job : batch.jobs) {
+    if (!job.ok) {
+      fprintf(stderr, "%s failed: %s\n", job.name.c_str(), job.error.c_str());
+      continue;
+    }
+    DriverRow row;
+    row.name = job.name;
+    row.stats = job.result.engine.parallel;
+    row.hist = bench::SummarizeTaskWorks(row.stats.task_works);
+    rows.push_back(std::move(row));
+  }
+  const core::FleetBatchStats& fs = batch.fleet;
+  // A run that recorded no fan-out work has nothing to report.
+  const bool ok = batch.AllOk() && batch.fleet_used && fs.tasks > 0 && fs.makespan > 0;
+  if (!ok) {
+    printf("FAILED: %s\n", batch.fleet_used ? "no fan-out work recorded" : "no fleet ran");
+  } else {
+    printf("%10s %10s %10s %8s %8s %8s\n", "makespan", "static", "spine", "tasks",
+           "v-steals", "steals");
+    printf("%10llu %10llu %10llu %8u %8u %8u\n", (unsigned long long)fs.makespan,
+           (unsigned long long)fs.static_makespan, (unsigned long long)fs.max_spine_work,
+           fs.tasks, fs.virtual_steals, fs.real_steals);
+    printf("\nfleet=%u, total fan-out work %llu; LPT vs static split of the same "
+           "records: %llu vs %llu (%.1f%% shorter)\n",
+           fs.workers, (unsigned long long)fs.total_task_work, (unsigned long long)fs.makespan,
+           (unsigned long long)fs.static_makespan,
+           100.0 * (1.0 - (double)fs.makespan / (double)fs.static_makespan));
+    printf("\nper-driver fan-out:\n");
     printf("  %-12s %8s %12s   %s\n", "driver", "tasks", "handoff-B",
            "task-work min/med/p95/max");
-    for (const DriverRow& d : steal_mode.drivers) {
-      printf("  %-12s %8u %12llu   %llu/%llu/%llu/%llu\n", d.name.c_str(),
-             d.stats.tasks, (unsigned long long)d.stats.handoff_bytes,
-             (unsigned long long)d.hist.min, (unsigned long long)d.hist.median,
-             (unsigned long long)d.hist.p95, (unsigned long long)d.hist.max);
+    for (const DriverRow& d : rows) {
+      printf("  %-12s %8u %12llu   %llu/%llu/%llu/%llu\n", d.name.c_str(), d.stats.tasks,
+             (unsigned long long)d.stats.handoff_bytes, (unsigned long long)d.hist.min,
+             (unsigned long long)d.hist.median, (unsigned long long)d.hist.p95,
+             (unsigned long long)d.hist.max);
     }
   }
-  printf("\n(checkpoints are byte-identical across every mode -- pinned by "
-         "tests/dist_test.cc;\n scheduling is placement-only.)\n");
+  printf("\n(checkpoints do not depend on placement -- pinned by "
+         "tests/dist_test.cc.)\n");
 
   if (!json_path.empty()) {
     FILE* f = fopen(json_path.c_str(), "w");
@@ -177,27 +125,18 @@ int main(int argc, char** argv) {
     fprintf(f, "{\n  \"bench\": \"batch_sweep\",\n  \"pr\": 10,\n");
     fprintf(f, "  \"max_work\": %llu,\n  \"fleet\": %u,\n",
             (unsigned long long)max_work, fleet_lanes);
-    fprintf(f, "  \"modes\": [");
-    for (size_t i = 0; i < modes.size(); ++i) {
-      const ModeResult& m = modes[i];
-      fprintf(f,
-              "%s\n    {\"label\": \"%s\", \"ok\": %s, \"fleet_used\": %s,\n"
-              "     \"makespan\": %llu, \"static_makespan\": %llu, "
-              "\"no_steal_makespan\": %llu, \"steal_makespan\": %llu,\n"
-              "     \"tasks\": %u, \"virtual_steals\": %u, \"real_steals\": %u, "
-              "\"max_spine_work\": %llu, \"total_task_work\": %llu}",
-              i == 0 ? "" : ",", m.label.c_str(), m.ok ? "true" : "false",
-              m.fleet_used ? "true" : "false", (unsigned long long)m.fleet.makespan,
-              (unsigned long long)m.fleet.static_makespan,
-              (unsigned long long)m.fleet.no_steal_makespan,
-              (unsigned long long)m.fleet.steal_makespan, m.fleet.tasks,
-              m.fleet.virtual_steals, m.fleet.real_steals,
-              (unsigned long long)m.fleet.max_spine_work,
-              (unsigned long long)m.fleet.total_task_work);
-    }
-    fprintf(f, "\n  ],\n  \"drivers\": [");
-    for (size_t i = 0; i < steal_mode.drivers.size(); ++i) {
-      const DriverRow& d = steal_mode.drivers[i];
+    fprintf(f,
+            "  \"ok\": %s, \"makespan\": %llu, \"static_makespan\": %llu, "
+            "\"steal_makespan\": %llu,\n"
+            "  \"tasks\": %u, \"virtual_steals\": %u, \"real_steals\": %u, "
+            "\"max_spine_work\": %llu, \"total_task_work\": %llu,\n",
+            ok ? "true" : "false", (unsigned long long)fs.makespan,
+            (unsigned long long)fs.static_makespan, (unsigned long long)fs.steal_makespan,
+            fs.tasks, fs.virtual_steals, fs.real_steals,
+            (unsigned long long)fs.max_spine_work, (unsigned long long)fs.total_task_work);
+    fprintf(f, "  \"drivers\": [");
+    for (size_t i = 0; i < rows.size(); ++i) {
+      const DriverRow& d = rows[i];
       fprintf(f,
               "%s\n    {\"name\": \"%s\", \"tasks\": %u, \"critical_path\": %llu,\n"
               "     \"handoff_bytes\": %llu, \"snapshot_bytes_shipped\": %llu, "
@@ -216,5 +155,5 @@ int main(int argc, char** argv) {
     fclose(f);
     printf("(json -> %s)\n", json_path.c_str());
   }
-  return all_ok ? 0 : 1;
+  return ok ? 0 : 1;
 }

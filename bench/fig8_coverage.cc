@@ -4,36 +4,26 @@
 // (translation blocks executed) at a fixed rate, since absolute speed is a
 // property of the host machine, not of the algorithm.
 //
-// All four registered drivers run concurrently through core::RunBatch (each
+// All registered drivers run concurrently through core::RunBatch (each
 // job owns its symbolic substrate, so the curves are identical to sequential
 // runs); the timeline comes back per job.
 //
 // Flags (assembled into one core::ExercisePlan per job):
-//   --exercise-threads=N   intra-driver parallel exercising (the PR 3
-//                          tentpole): each driver's exercise stage runs on N
-//                          workers. 1 (default) = legacy sequential engine.
+//   --fleet=N              parallel exercising on one batch-global N-lane
+//                          fleet scheduler: all drivers' (step, shard)
+//                          fan-out tasks share the lanes, longest-estimated
+//                          chain first, with work stealing. Byte-identical
+//                          for every N. Without it (and without the two
+//                          flags below) every driver runs the sequential
+//                          engine.
 //   --sub-shards=K         split each step's exploration into K deterministic
-//                          sub-partitions of the enumerated pending pool (the
-//                          PR 8 tentpole) -- shorter critical path, byte-
-//                          identical for every K >= 1. 0 (default) =
-//                          whole-step fan-out.
+//                          sub-partitions of the enumerated pending pool --
+//                          shorter critical path, byte-identical for every
+//                          K >= 1. 0 (default) = whole-step fan-out.
 //   --dist-workers=N       run fan-out tasks on N forked worker processes
 //                          (RDP1 over socketpairs); byte-identical to the
 //                          in-process modes, with in-process failover on any
 //                          worker failure. 0 (default) = in-process.
-//   --fleet=N              replace the static outer x inner split with one
-//                          batch-global N-lane fleet scheduler (the PR 10
-//                          tentpole): all drivers' fan-out tasks share the
-//                          lanes, longest-estimated-chain first. Byte-
-//                          identical to the static split for every N.
-//   --no-steal             keep fleet tasks on their home lanes (no work
-//                          stealing); byte-identical either way.
-//   --spine-replay         use the PR 3 fan-out strategy (every worker
-//                          replays the spine prefix, O(S^2) spine work)
-//                          instead of the default snapshot handoff (O(S)).
-//                          Byte-identical results either way; with
-//                          REVNIC_PARALLEL_STATS=1 the two runs show the
-//                          spine-work/critical-path difference (perf ledger).
 //   --coverage-log=PATH    stream every coverage sample as JSONL (one object
 //                          per sample, tagged with the driver name); CI
 //                          archives this as an artifact.
@@ -46,7 +36,6 @@
 #include <chrono>
 #include <cstring>
 #include <memory>
-#include <thread>
 
 #include "bench/bench_common.h"
 #include "hw/faults.h"
@@ -57,21 +46,10 @@ int main(int argc, char** argv) {
   core::ExercisePlan plan;
   const char* coverage_log = nullptr;
   for (int i = 1; i < argc; ++i) {
-    if (strcmp(argv[i], "--spine-replay") == 0) {
-      plan.fan_out = core::FanOut::kSpineReplay;
-    } else if (strncmp(argv[i], "--faults=", 9) == 0) {
+    if (strncmp(argv[i], "--faults=", 9) == 0) {
       std::string error;
       if (!hw::ParseFaultPlan(argv[i] + 9, &plan.faults, &error)) {
         fprintf(stderr, "--faults: %s\n", error.c_str());
-        return 2;
-      }
-    } else if (strncmp(argv[i], "--exercise-threads=", 19) == 0) {
-      plan.threads = static_cast<unsigned>(atoi(argv[i] + 19));
-      if (plan.threads < 1) {
-        // The bench makes machine-independent parity claims, so "auto" (0)
-        // is rejected: thread count must be explicit.
-        fprintf(stderr, "--exercise-threads wants an explicit count >= 1, got '%s'\n",
-                argv[i] + 19);
         return 2;
       }
     } else if (strncmp(argv[i], "--sub-shards=", 13) == 0) {
@@ -80,14 +58,23 @@ int main(int argc, char** argv) {
       plan.worker_processes = static_cast<unsigned>(atoi(argv[i] + 15));
     } else if (strncmp(argv[i], "--fleet=", 8) == 0) {
       plan.fleet = static_cast<unsigned>(atoi(argv[i] + 8));
-    } else if (strcmp(argv[i], "--no-steal") == 0) {
-      plan.steal = false;
+      if (plan.fleet < 1) {
+        // The bench makes machine-independent parity claims, so "auto" (0)
+        // is rejected: the lane count must be explicit.
+        fprintf(stderr, "--fleet wants an explicit count >= 1, got '%s'\n", argv[i] + 8);
+        return 2;
+      }
     } else if (strncmp(argv[i], "--coverage-log=", 15) == 0) {
       coverage_log = argv[i] + 15;
     } else {
       fprintf(stderr, "unknown flag %s\n", argv[i]);
       return 2;
     }
+  }
+
+  if (plan.fleet >= 1) {
+    // Every job defers to the batch template and so joins its shared fleet.
+    plan.threads = 0;
   }
 
   bench::PrintHeader("Figure 8: basic block coverage vs running time", "Figure 8");
@@ -114,51 +101,28 @@ int main(int argc, char** argv) {
     job.config.pci = drivers::DriverPci(t.id);
     job.config.sample_every = 100;  // fine-grained timeline
     job.config.plan = plan;
-    if (plan.fleet >= 1) {
-      // Fleet mode: defer sizing to the batch template so the job joins the
-      // shared scheduler (RunBatch forces the inherited plan parallel-shaped).
-      job.config.plan.threads = 0;
-    }
     if (log_sink != nullptr) {
       job.config.on_coverage = core::MakeCoverageJsonlLogger(log_sink.get(), t.name);
     }
     jobs.push_back(std::move(job));
   }
-  // The plan stays explicit per job (the exercised tree must not depend on
-  // the host's core count -- parity/determinism is the claim); the outer
-  // batch pool is capped instead so outer x inner stays within the hardware
-  // budget.
   core::BatchOptions options;
-  if (plan.threads > 1) {
-    unsigned hw = std::thread::hardware_concurrency();
-    options.concurrency = std::max(1u, (hw == 0 ? 2 : hw) / plan.threads);
-  }
   if (plan.fleet >= 1) {
-    core::ExercisePlan tpl = plan;
-    if (tpl.threads <= 1) {
-      tpl.threads = 0;  // no explicit budget; RunBatch sizes the inner split
-    }
-    options.plan = tpl;
+    options.plan = plan;
   }
   auto wall_start = std::chrono::steady_clock::now();
   core::BatchResult batch = core::RunBatch(jobs, options);
   double wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();
-  const bool parallel = plan.threads > 1 || plan.sub_shards > 0 || plan.worker_processes > 0;
-  printf("(batch: %zu drivers on %u worker threads, exercise-threads=%u, sub-shards=%u, "
-         "dist-workers=%u, handoff=%s, wall %.1fs)\n",
-         batch.jobs.size(), batch.concurrency, plan.threads, plan.sub_shards,
-         plan.worker_processes,
-         parallel
-             ? (plan.fan_out == core::FanOut::kSpineReplay ? "spine-replay"
-                                                           : "snapshot-restore")
-             : "n/a",
-         wall_s);
+  printf("(batch: %zu drivers on %u worker threads, fleet=%u, sub-shards=%u, "
+         "dist-workers=%u, wall %.1fs)\n",
+         batch.jobs.size(), batch.concurrency, plan.fleet, plan.sub_shards,
+         plan.worker_processes, wall_s);
   if (batch.fleet_used) {
-    printf("(fleet: workers=%u steal=%s tasks=%u real-steals=%u makespan=%llu "
+    printf("(fleet: workers=%u tasks=%u real-steals=%u makespan=%llu "
            "static-split=%llu)\n",
-           batch.fleet.workers, batch.fleet.steal ? "on" : "off", batch.fleet.tasks,
-           batch.fleet.real_steals, (unsigned long long)batch.fleet.makespan,
+           batch.fleet.workers, batch.fleet.tasks, batch.fleet.real_steals,
+           (unsigned long long)batch.fleet.makespan,
            (unsigned long long)batch.fleet.static_makespan);
   }
   if (plan.faults.Enabled()) {

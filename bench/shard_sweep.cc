@@ -3,7 +3,7 @@
 // Measures the deterministic critical path (spine work + longest task chain,
 // in executed work units -- machine-independent) of the parallel exerciser
 // across the ExercisePlan grid: whole-step fan-out vs K sub-shards, in-process
-// vs forked RDP1 workers. The merged checkpoints are byte-identical across
+// vs forked RDP1 workers, on 4 fleet lanes (T4). The merged checkpoints are byte-identical across
 // every row (pinned by tests/dist_test.cc); only the schedule shape changes,
 // which is exactly what the critical path captures.
 //
@@ -27,7 +27,6 @@ struct SweepRow {
   unsigned threads = 0;
   unsigned sub_shards = 0;
   unsigned workers = 0;
-  revnic::core::FanOut fan_out = revnic::core::FanOut::kSnapshotRestore;
   revnic::core::ParallelExerciseStats stats;
   revnic::bench::WorkHistogram hist;
   uint64_t total_work = 0;
@@ -64,7 +63,6 @@ int main(int argc, char** argv) {
       {"T4 K2 in-process", 4, 2, 0},
       {"T4 K4 in-process", 4, 4, 0},
       {"T4 K8 in-process", 4, 8, 0},
-      {"T4 K4 spine-replay", 4, 4, 0, core::FanOut::kSpineReplay},
       {"T4 K4 workers=1", 4, 4, 1},
       {"T4 K4 workers=2", 4, 4, 2},
       {"T4 K4 workers=4", 4, 4, 4},
@@ -75,7 +73,6 @@ int main(int argc, char** argv) {
     cfg.plan.threads = row.threads;
     cfg.plan.sub_shards = row.sub_shards;
     cfg.plan.worker_processes = row.workers;
-    cfg.plan.fan_out = row.fan_out;
     core::Session s(drivers::DriverImage(target->id), cfg);
     row.ok = s.Exercise();
     if (!row.ok) {

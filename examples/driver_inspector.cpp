@@ -41,19 +41,16 @@ void PrintUsage(const char* argv0) {
          "                       driver_<target>.c per backend (stage emit)\n"
          "  --emit-target <os>   emission backend: windows | linux | ucos2 |\n"
          "                       kitos | all (repeatable; default: windows)\n"
-         "  --exercise-threads <n>  parallel exercise workers (1 = sequential,\n"
-         "                       0 = hardware; deterministic for any n >= 2)\n"
          "  --sub-shards <k>     split each exercise step across k deterministic\n"
          "                       sub-partitions (0 = whole-step fan-out;\n"
          "                       byte-identical for every k >= 1)\n"
          "  --dist-workers <n>   run fan-out tasks on n forked worker processes\n"
          "                       (0 = in-process; byte-identical either way,\n"
          "                       worker failures fail over in-process)\n"
-         "  --fleet <n>          schedule fan-out tasks on an n-lane fleet\n"
-         "                       scheduler (longest-chain-first queue, work\n"
-         "                       stealing; byte-identical to the static split)\n"
-         "  --no-steal           disable cross-lane stealing in the fleet\n"
-         "                       (byte-identical either way)\n"
+         "  --fleet <n>          parallel exercising on an n-lane fleet scheduler\n"
+         "                       (0 = one lane per hardware thread; byte-identical\n"
+         "                       for every n). Without it the sequential engine\n"
+         "                       runs unless --sub-shards/--dist-workers are set\n"
          "  --faults <spec>      deterministic fault injection while exercising:\n"
          "                       seed:kind=rate,... (e.g. 42:irq-drop=0.2 or\n"
          "                       7:all=0.05; kinds: irq-drop irq-dup irq-delay\n"
@@ -107,21 +104,15 @@ int main(int argc, char** argv) {
       checkpoint = value("--checkpoint");
     } else if (strcmp(argv[i], "--out") == 0) {
       out_dir = value("--out");
-    } else if (strcmp(argv[i], "--exercise-threads") == 0) {
-      plan.threads = static_cast<unsigned>(atoi(value("--exercise-threads")));
     } else if (strcmp(argv[i], "--sub-shards") == 0) {
       plan.sub_shards = static_cast<unsigned>(atoi(value("--sub-shards")));
     } else if (strcmp(argv[i], "--dist-workers") == 0) {
       plan.worker_processes = static_cast<unsigned>(atoi(value("--dist-workers")));
     } else if (strcmp(argv[i], "--fleet") == 0) {
+      // Lanes only; threads = 0 selects the parallel class, and with
+      // fleet = 0 sizes the lanes for the hardware.
       plan.fleet = static_cast<unsigned>(atoi(value("--fleet")));
-      if (plan.fleet >= 1 && plan.threads <= 1) {
-        // The fleet schedules the parallel architecture's fan-out tasks;
-        // force a parallel-shaped plan (byte-identical for any count >= 2).
-        plan.threads = 2;
-      }
-    } else if (strcmp(argv[i], "--no-steal") == 0) {
-      plan.steal = false;
+      plan.threads = 0;
     } else if (strcmp(argv[i], "--faults") == 0) {
       std::string fault_err;
       if (!hw::ParseFaultPlan(value("--faults"), &plan.faults, &fault_err)) {

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <functional>
 #include <mutex>
-#include <thread>
 #include <tuple>
 
 #include "core/fanout.h"
@@ -14,7 +13,6 @@
 #include "symex/coverage.h"
 #include "symex/executor.h"
 #include "symex/snapshot.h"
-#include "symex/workqueue.h"
 #include "util/log.h"
 #include "util/rng.h"
 
@@ -671,9 +669,10 @@ struct Engine::Impl {
 
   // The executed plan: the script minus disabled IRQ steps, with fault-plan
   // IRQ perturbations applied. Shaping is keyed by the IRQ step's ordinal via
-  // the cursor-independent PlanIrqDecision, so every replica -- spine,
-  // snapshot-restore worker, spine-replay worker -- builds the identical
-  // plan regardless of how far its fault cursor has advanced.
+  // the cursor-independent PlanIrqDecision, so every replica -- spine, a
+  // task that restored its snapshot, a task that replayed the prefix --
+  // builds the identical plan regardless of how far its fault cursor has
+  // advanced.
   std::vector<Step> BuildPlan() {
     std::vector<Step> script = BuildScript();
     std::vector<Step> plan;
@@ -1213,8 +1212,8 @@ struct Engine::Impl {
   // builds the replica substrate(s), hands off the chain state (snapshot
   // restore, or spine-prefix replay when `snapshot` is empty or the restore
   // fails), explores, and returns the sliced segment slot(s). This is the
-  // ONE task body: in-process dispatcher threads call it directly and forked
-  // dist workers call it on the deserialized work item, so the two modes are
+  // ONE task body: fleet lanes call it directly and forked dist workers
+  // call it on the deserialized work item, so the two modes are
   // byte-identical by construction. `live`/`gwork`/`gfaults` are the
   // coordinator's monitoring hooks (null in a worker process -- monitoring
   // there is coordinator-side, on result receipt).
@@ -1257,7 +1256,7 @@ struct Engine::Impl {
           restored = true;
         } else {
           // In-memory snapshots only fail on a substrate bug; fall back to
-          // the replay strategy (byte-identical output) on a fresh replica
+          // prefix replay (byte-identical output) on a fresh replica
           // rather than dropping the segment. The counter makes the fallback
           // assertable -- without it a restore regression would silently
           // revert the O(S) spine guarantee while every byte-parity test
@@ -1319,21 +1318,23 @@ struct Engine::Impl {
     return out;
   }
 
-  // ---- parallel exercising (resolved plan: threads >= 2, sub-shards, or
-  // worker processes) ----
+  // ---- parallel exercising (!IsSequentialPlan(plan)) ----
   //
   // Spine + fan-out: one fast sequential pass chains a completing path
-  // through every step; each step's full-budget exploration then runs as an
-  // independent task on the worker pool. Every task owns a full substrate
-  // replica (ExprContext/solver/DBT/WinSim), deterministically replays the
-  // spine prefix it needs, explores its one step, and returns a segment.
-  // Segments merge in step order -- never in completion order -- with state
-  // ids and sequence numbers rebased per segment, so the merged result is
-  // byte-identical for every thread count and schedule.
+  // through every step, serializing the chain state before each step; each
+  // (step, shard) full-budget exploration then runs as an independent task
+  // on the fleet. Every task owns a full substrate replica
+  // (ExprContext/solver/DBT/WinSim), restores its step snapshot, explores
+  // its one step, and returns its segment slot(s). Segments merge in (step,
+  // slot-ordinal) order -- never in completion order -- with state ids and
+  // sequence numbers rebased per slot, so the merged result is
+  // byte-identical for every lane count and schedule.
   // `spine` is the engine's own (already constructed) Impl: it runs the
   // spine pass in place, so the driver load + static analysis its ctor paid
   // are not wasted; only the fan-out replicas build fresh substrates.
-  static EngineResult RunParallel(Impl& spine, unsigned threads) {
+  // `replay_prefix` (test-only, Engine::RunWithPrefixReplay) skips the step
+  // snapshots so every task takes the prefix-replay fallback.
+  static EngineResult RunParallel(Impl& spine, bool replay_prefix) {
     struct Shared {
       std::atomic<bool> cancel{false};
       std::atomic<uint64_t> work{0};
@@ -1374,28 +1375,27 @@ struct Engine::Impl {
       };
     }
 
-    // The effective plan was resolved by the Engine ctor; every replica and
-    // worker derives its knobs (FanoutFullKnobs) from the same config, so
-    // the byte-identity guarantee spans process boundaries too.
+    // Every replica and worker derives its knobs (FanoutFullKnobs) from the
+    // same config, so the byte-identity guarantee spans process boundaries
+    // too.
     const ExercisePlan plan = config.plan;
     const uint32_t sub_shards = plan.sub_shards;
-    const bool spine_replay = plan.fan_out == FanOut::kSpineReplay;
     StepKnobs spine_knobs = SpineStepKnobs(config);
 
     spine.config = cfg;  // wrapped cancel + coverage hooks for the spine run
     spine.live_coverage = &live;
     spine.global_work = &shared.work;
     spine.global_faults = &shared.faults;
-    // Snapshot handoff (the default): the spine pass serializes the chain
-    // state before each step, and each fan-out worker *restores* its start
-    // snapshot instead of re-executing the prefix -- total spine work drops
-    // from O(S^2) (every worker replays up to S-1 steps) to O(S) (the spine
-    // runs once). The restored substrate is bit-exact (expr DAG with
-    // interning, solver rng/cache/shelf, scheduler counters, WinSim/shell,
-    // wiretap cursors, warm DBT set), so the merged result is byte-identical
-    // to the replay strategy's -- pinned by tests/snapshot_test.cc.
+    // Snapshot handoff: the spine pass serializes the chain state before
+    // each step, and each fan-out task *restores* its start snapshot instead
+    // of re-executing the prefix -- total spine work is O(S) (the spine runs
+    // once), not O(S^2) (every task replaying up to S-1 steps). The restored
+    // substrate is bit-exact (expr DAG with interning, solver
+    // rng/cache/shelf, scheduler counters, WinSim/shell, wiretap cursors,
+    // warm DBT set), so the merged result is byte-identical to the replay
+    // fallback's -- pinned by tests/snapshot_test.cc.
     std::vector<std::vector<uint8_t>> snapshots;
-    if (!spine_replay) {
+    if (!replay_prefix) {
       spine.step_snapshots = &snapshots;
     }
     std::vector<uint64_t> step_work;
@@ -1405,13 +1405,9 @@ struct Engine::Impl {
     spine.step_work_log = nullptr;
     const size_t steps_total = spine.steps_run;
 
-    // Fan-out task list: one task per (step, sub-shard). Each task returns
-    // its slot(s); the canonical merge below lays them out by (step,
-    // ordinal), independent of completion order.
-    struct TaskItem {
-      size_t step;
-      uint32_t shard;
-    };
+    // Fan-out: one task per (step, sub-shard). Each task returns its
+    // slot(s); the canonical merge below lays them out by (step, ordinal),
+    // independent of completion order.
     const uint32_t shards_per_step = sub_shards == 0 ? 1 : sub_shards;
     const size_t total_tasks = steps_total * shards_per_step;
     std::vector<std::vector<FanoutSlot>> step_slots(steps_total);
@@ -1429,98 +1425,44 @@ struct Engine::Impl {
     uint64_t snap_shipped = 0;
     uint64_t snap_reused = 0;
     std::vector<uint64_t> task_works(total_tasks, 0);
-    // Fleet scheduling: a RunBatch-injected shared scheduler wins; otherwise
-    // plan.fleet >= 1 asks for a private single-job fleet (built below, after
-    // the worker pool forks).
-    FleetScheduler* fleet = config.fleet;
     if (!merged.cancelled) {
-      // Multi-process mode: fork the worker pool BEFORE the dispatcher
-      // threads start (forking a threaded process is fragile; the spine ran
-      // on this thread, so this is the quietest point of the run -- though
-      // callers like RunBatch may hold outer threads, which is why every
-      // exchange has a deadline and an in-process failover; see
-      // src/dist/README.md). Worker children inherit the resolved config
-      // with the caller's hooks stripped: hooks must not cross the fork, so
-      // workers never observe a cancel -- a cancelled multi-process run
-      // drains without a byte pin, exactly like today's cancelled runs.
-      std::unique_ptr<dist::WorkerPool> wpool;
-      if (fleet == nullptr && plan.worker_processes >= 1) {
-        EngineConfig child_cfg = config;
-        child_cfg.cancel = nullptr;
-        child_cfg.on_coverage = nullptr;
-        child_cfg.fleet = nullptr;
-        dist::WorkerPool::Options wopts;
-        wopts.workers = plan.worker_processes;
-        wpool = std::make_unique<dist::WorkerPool>(
-            wopts, [&image, child_cfg](const dist::ContextCache& contexts,
-                                       const std::vector<uint8_t>& work,
-                                       std::vector<uint8_t>* reply, std::string* err) {
-              FanoutTask task;
-              uint32_t job = 0;
-              std::string key;
-              std::vector<uint8_t> inline_snapshot;
-              if (!DeserializeFanoutWork(work, &job, &task, &key, &inline_snapshot, err)) {
-                return false;
-              }
-              const std::vector<uint8_t>* snapshot = &inline_snapshot;
-              if (inline_snapshot.empty() && !key.empty()) {
-                // Snapshot handoff rides the context cache: shipped at most
-                // once per worker per (job, step), referenced by key here.
-                const std::vector<uint8_t>* cached = contexts.Find(key);
-                if (cached == nullptr) {
-                  *err = "fanout work references uncached context: " + key;
-                  return false;
-                }
-                snapshot = cached;
-              }
-              FanoutTaskResult r =
-                  RunFanoutTask(image, child_cfg, task, *snapshot, nullptr, nullptr, nullptr);
-              *reply = SerializeFanoutResult(r);
-              return true;
-            });
-        if (wpool->alive() == 0) {
-          wpool.reset();  // every fork/handshake failed; run fully in-process
-        }
-      }
-      dist::WorkerPool* dpool = fleet != nullptr ? fleet->dist() : wpool.get();
-      workers_forked = dpool != nullptr ? dpool->alive() : 0;
-      // Private single-job fleet (engine run with plan.fleet but no batch):
-      // built AFTER the pool forks -- fork-from-threads stays off the menu.
+      // The batch's fleet, or a private one: a standalone run is a batch of
+      // one. StartFleet forks the worker pool (if the plan asks for one)
+      // here, before any lane thread starts -- the spine ran on this
+      // thread, so this is the quietest point of the run. Callers like
+      // RunBatch may hold other threads, which is why every exchange has a
+      // deadline and an in-process failover (src/dist/README.md).
+      FleetScheduler* fleet = config.fleet;
       std::unique_ptr<FleetScheduler> own_fleet;
-      if (fleet == nullptr && plan.fleet >= 1) {
-        FleetScheduler::Options fopts;
-        fopts.workers = plan.fleet;
-        fopts.steal = plan.steal;
-        fopts.dist_pool = dpool;
-        own_fleet = std::make_unique<FleetScheduler>(fopts);
-        own_fleet->SetJobLabel(0, "pc" + std::to_string(image.entry));
+      if (fleet == nullptr) {
+        own_fleet = StartFleet(plan, {{&image, config}});
         fleet = own_fleet.get();
       }
+      const uint32_t job = own_fleet != nullptr ? 0 : config.fleet_job;
+      dist::WorkerPool* dpool = fleet->dist();
+      workers_forked = dpool != nullptr ? dpool->alive() : 0;
 
       static const std::vector<uint8_t> kNoSnapshot;
-      // The ONE fan-out item body, shared by the classic dispatcher threads
-      // and the fleet task closures: snapshot selection, dist dispatch with
-      // in-process failover, and canonical result recording are identical
-      // either way -- which is the whole byte-identity argument for the
-      // fleet. `scratch` is the caller's reusable serialization buffer
-      // (satellite: one buffer per worker, no per-task realloc churn).
+      // The ONE fan-out item body: snapshot selection, dist dispatch with
+      // in-process failover, and canonical result recording, whichever lane
+      // (or which job's steal) runs it. `scratch` is the lane's reusable
+      // serialization buffer (no per-task realloc churn).
       auto run_item = [&](size_t step, uint32_t shard,
                           std::vector<uint8_t>* scratch) -> uint64_t {
         FanoutTask task{step, shard, sub_shards};
-        // Either way the task starts step k with the spine coverage of
-        // steps 0..k-1 in its `covered` set, so the no-progress gating
-        // skips re-exploring those paths -- the same baseline the
-        // sequential engine has at step k. (Seeding the *full* spine
-        // coverage instead was measured to cost tail coverage: a step
-        // stops before reaching blocks only later steps touch, breaking
-        // the +/-0.5% parity bar.)
+        // The task starts step k with the spine coverage of steps 0..k-1 in
+        // its `covered` set, so the no-progress gating skips re-exploring
+        // those paths -- the same baseline the sequential engine has at
+        // step k. (Seeding the *full* spine coverage instead was measured
+        // to cost tail coverage: a step stops before reaching blocks only
+        // later steps touch, breaking the +/-0.5% parity bar.)
         std::vector<uint8_t> local_snapshot;
         const std::vector<uint8_t>* snapshot = &kNoSnapshot;
-        if (!spine_replay) {
+        if (!replay_prefix) {
           if (sub_shards == 0 && dpool == nullptr) {
             // Single consumer per step: moving the blob out frees it as
             // the fan-out progresses instead of holding all S of them
-            // until the last dispatcher finishes.
+            // until the last task finishes.
             local_snapshot = std::move(snapshots[step]);
             snapshot = &local_snapshot;
           } else {
@@ -1538,9 +1480,9 @@ struct Engine::Impl {
           // cost just the small kWork frame.
           std::string key;
           if (!snapshot->empty()) {
-            key = "j" + std::to_string(config.fleet_job) + "/s" + std::to_string(step);
+            key = "j" + std::to_string(job) + "/s" + std::to_string(step);
           }
-          SerializeFanoutWorkInto(config.fleet_job, task, key, kNoSnapshot, scratch);
+          SerializeFanoutWorkInto(job, task, key, kNoSnapshot, scratch);
           std::vector<uint8_t> reply;
           std::string err;
           bool shipped = false;
@@ -1567,7 +1509,6 @@ struct Engine::Impl {
           r = RunFanoutTask(image, cfg, task, *snapshot, &live, &shared.work,
                             &shared.faults);
         }
-        const uint64_t executed = r.task_work;
         std::lock_guard<std::mutex> lock(results_mu);
         root_counts[step] = std::max(root_counts[step], r.root_count);
         for (FanoutSlot& slot : r.slots) {
@@ -1578,68 +1519,33 @@ struct Engine::Impl {
         sum_enum += r.enum_work;
         restore_failures += r.restore_failures;
         task_works[step * shards_per_step + shard] = r.task_work;
-        return executed;
+        return r.task_work;
       };
 
-      if (fleet != nullptr) {
-        // Fleet path: hand every (step, shard) task to the scheduler --
-        // shared across the whole batch or private to this job -- estimated
-        // at its spine step's measured work split across the shards, and
-        // block until they all ran. The scheduler decides placement only;
-        // run_item records results at canonical positions regardless of
-        // which lane (or which job's steal) executed them.
-        fleet->SetJobSpineWork(config.fleet_job, merged.stats.work);
-        std::vector<FleetScheduler::Task> ftasks;
-        ftasks.reserve(total_tasks);
-        for (size_t k = 0; k < steps_total; ++k) {
-          const uint64_t est =
-              k < step_work.size() ? step_work[k] / shards_per_step : 1;
-          for (uint32_t s = 0; s < shards_per_step; ++s) {
-            FleetScheduler::Task t;
-            t.step = k;
-            t.shard = s;
-            t.estimate = est;
-            t.run = [&run_item, k, s](FleetScheduler::WorkerContext& wc) {
-              return run_item(k, s, &wc.scratch);
-            };
-            ftasks.push_back(std::move(t));
-          }
-        }
-        fleet->RunJobTasks(config.fleet_job, std::move(ftasks));
-        fleet_workers = fleet->workers();
-        fleet_steals = fleet->JobRealSteals(config.fleet_job);
-      } else {
-        symex::WorkQueue<TaskItem> queue;
-        for (size_t k = 0; k < steps_total; ++k) {
-          for (uint32_t s = 0; s < shards_per_step; ++s) {
-            queue.Push({k, s});
-          }
-        }
-        queue.Close();
-        // Dispatchers block while their task runs on a dist worker, so the
-        // multi-process mode needs at least worker_processes of them to keep
-        // every worker busy. Scheduling only -- the merged bytes don't care.
-        unsigned dispatchers =
-            std::max(threads, wpool != nullptr ? plan.worker_processes : 0u);
-        dispatchers = std::max<unsigned>(
-            1, std::min<size_t>(dispatchers, total_tasks));
-        std::vector<std::thread> pool;
-        pool.reserve(dispatchers);
-        for (unsigned t = 0; t < dispatchers; ++t) {
-          pool.emplace_back([&] {
-            std::vector<uint8_t> scratch;  // one serialization buffer per thread
-            TaskItem item;
-            while (queue.PopBlocking(&item)) {
-              run_item(item.step, item.shard, &scratch);
-            }
-          });
-        }
-        for (std::thread& t : pool) {
-          t.join();
+      // Every (step, shard) task goes to the fleet, estimated at its spine
+      // step's measured work split across the shards, and this thread
+      // blocks until they all ran. The fleet decides placement only.
+      fleet->SetJobSpineWork(job, merged.stats.work);
+      std::vector<FleetScheduler::Task> ftasks;
+      ftasks.reserve(total_tasks);
+      for (size_t k = 0; k < steps_total; ++k) {
+        const uint64_t est = k < step_work.size() ? step_work[k] / shards_per_step : 1;
+        for (uint32_t s = 0; s < shards_per_step; ++s) {
+          FleetScheduler::Task t;
+          t.step = k;
+          t.shard = s;
+          t.estimate = est;
+          t.run = [&run_item, k, s](FleetScheduler::WorkerContext& wc) {
+            return run_item(k, s, &wc.scratch);
+          };
+          ftasks.push_back(std::move(t));
         }
       }
-      // own_fleet (if any) joins its workers here, then wpool goes out of
-      // scope: kShutdown + reap before the merge.
+      fleet->RunJobTasks(job, std::move(ftasks));
+      fleet_workers = fleet->workers();
+      fleet_steals = fleet->JobRealSteals(job);
+      // own_fleet (if any) joins its lanes here, then shuts its worker pool
+      // down (kShutdown + reap) before the merge.
     }
 
     // ---- canonical merge, in step order ----
@@ -1790,8 +1696,8 @@ struct Engine::Impl {
     // Scaling diagnostics: the per-task work distribution is what bounds
     // parallel scaling (wall ~ spine + max task chain on enough cores).
     // `spine` is the O(S) shared pass; `replayed-prefix` is the extra
-    // per-task spine work -- O(S^2) total under the replay strategy, 0 under
-    // snapshot handoff; `enum-overhead` is the per-task re-run of the
+    // per-task spine work of the restore fallback (0 in a healthy run);
+    // `enum-overhead` is the per-task re-run of the
     // bounded enumeration phase when sub-sharding. A task's chain is
     // everything it executed (handoff + enumeration + owned segments), so
     // the critical path is exact for both fan-out architectures.
@@ -1817,12 +1723,12 @@ struct Engine::Impl {
       merged.parallel.task_works = std::move(task_works);
       if (!config.quiet_parallel_stats && getenv("REVNIC_PARALLEL_STATS") != nullptr) {
         fprintf(stderr,
-                "[parallel-exercise] mode=%s threads=%u sub-shards=%u workers=%u "
+                "[parallel-exercise] sub-shards=%u workers=%u "
                 "fleet=%u steals=%u spine=%llu work, replayed-prefix=%llu, "
                 "enum-overhead=%llu, %u segments (sum=%llu max=%llu), tasks=%zu, "
                 "critical path=%llu (%.2fx vs serial merge), failovers=%u\n",
-                spine_replay ? "spine-replay" : "snapshot-restore", threads, sub_shards,
-                workers_forked, fleet_workers, fleet_steals, (unsigned long long)spine_work,
+                sub_shards, workers_forked, fleet_workers, fleet_steals,
+                (unsigned long long)spine_work,
                 (unsigned long long)sum_replayed, (unsigned long long)sum_enum, begun_slots,
                 (unsigned long long)sum_seg, (unsigned long long)max_seg, total_tasks,
                 (unsigned long long)critical,
@@ -1909,46 +1815,29 @@ struct Engine::Impl {
   hw::FaultStats fault_mark;
 };
 
-ExercisePlan ResolveExercisePlan(const EngineConfig& config) {
-  // The legacy forwarding shims (exercise_threads, spine_replay_fanout,
-  // EngineConfig::faults) are gone; the plan is authoritative. The old
-  // folding also had an ordering quirk -- a legacy field set alongside a
-  // non-default plan field was silently ignored -- which cannot arise
-  // anymore: there is exactly one spelling per knob.
-  return config.plan;
-}
-
 Engine::Engine(const isa::Image& image, const EngineConfig& config)
     : impl_(std::make_unique<Impl>(image, config)) {}
 
 Engine::~Engine() = default;
 
 EngineResult Engine::Run() {
-  const ExercisePlan& plan = impl_->config.plan;
-  unsigned threads = plan.threads;
-  if (threads == 0) {
-    unsigned hw = std::thread::hardware_concurrency();
-    threads = hw == 0 ? 2 : hw;
+  if (IsSequentialPlan(impl_->config.plan)) {
+    return impl_->Run();
   }
-  // plan.fleet deliberately does NOT flip a sequential-shaped plan into the
-  // parallel class: fleet scheduling is placement-only within the parallel
-  // architecture (RunBatch forces fleet jobs parallel-shaped; a sequential
-  // job stays sequential and off the fleet, preserving its output class).
-  if (threads <= 1 && plan.sub_shards == 0 && plan.worker_processes == 0) {
-    return impl_->Run();  // the legacy sequential exerciser, byte-for-byte
+  return Impl::RunParallel(*impl_, /*replay_prefix=*/false);
+}
+
+EngineResult Engine::RunWithPrefixReplay() {
+  if (IsSequentialPlan(impl_->config.plan)) {
+    return impl_->Run();
   }
-  return Impl::RunParallel(*impl_, std::max(1u, threads));
+  return Impl::RunParallel(*impl_, /*replay_prefix=*/true);
 }
 
 FanoutTaskResult Engine::ExecuteFanoutTask(const isa::Image& image, const EngineConfig& config,
                                            const FanoutTask& task,
                                            const std::vector<uint8_t>& snapshot) {
   return Impl::RunFanoutTask(image, config, task, snapshot, nullptr, nullptr, nullptr);
-}
-
-EngineResult ReverseEngineer(const isa::Image& image, const EngineConfig& config) {
-  Engine engine(image, config);
-  return engine.Run();
 }
 
 }  // namespace revnic::core

@@ -72,23 +72,20 @@ struct EngineConfig {
   symex::StatePool::Options pool;
   symex::Solver::Options solver;
   uint64_t seed = 1;
-  // How the exercise stage is parallelized and perturbed: dispatcher
-  // threads, intra-step sub-shards, fan-out strategy, worker processes, and
-  // the deterministic fault plan -- one struct (see core/exercise_plan.h).
-  // plan.threads == 1 with everything else at its default runs the legacy
-  // sequential exerciser, byte-for-byte. For a fixed seed the merged result
-  // is byte-identical across thread counts, sub-shard counts >= 1, worker
-  // processes, and both fan-out strategies, clean and under faults (the
-  // fault schedule is a pure function of plan.faults; the cursor rides in
-  // RSS1 snapshots). plan.faults participates in the checkpoint config
-  // fingerprint. The pre-PR 9 shims (EngineConfig::exercise_threads,
-  // EngineConfig::spine_replay_fanout, EngineConfig::faults) are gone --
-  // migration table in src/core/README.md.
+  // How the exercise stage is parallelized and perturbed: fan-out lanes,
+  // intra-step sub-shards, worker processes, and the deterministic fault
+  // plan -- one struct (see core/exercise_plan.h). IsSequentialPlan(plan)
+  // selects the sequential exerciser; every other plan runs the parallel
+  // class on a core::FleetScheduler. For a fixed seed the merged result is
+  // byte-identical across lane counts, sub-shard counts >= 1 and worker
+  // processes, clean and under faults (the fault schedule is a pure
+  // function of plan.faults; the cursor rides in RSS1 snapshots).
+  // plan.faults participates in the checkpoint config fingerprint.
   ExercisePlan plan;
   // Capture the final chain state as a serialized "RSS1" snapshot in
   // EngineResult::final_snapshot ("RCP1" checkpoints embed it). Under
   // parallel exercising the spine's final state is captured (identical for
-  // every thread count and handoff strategy).
+  // every placement).
   bool capture_final_snapshot = true;
   // Coverage timeline sampling period (work units).
   uint64_t sample_every = 2048;
@@ -106,12 +103,11 @@ struct EngineConfig {
   // polled concurrently from every worker (make it thread-safe; the first
   // observed true sticks and drains the pool).
   std::function<bool()> cancel;
-  // Batch-global fleet scheduling (PR 10). When RunBatch injects a shared
-  // FleetScheduler here, the engine submits its fan-out tasks to it (tagged
-  // fleet_job) instead of spawning its own dispatcher threads; when null and
-  // plan.fleet >= 1, the engine builds a private single-job fleet. Placement
-  // only -- never part of the checkpoint config fingerprint, results stay
-  // byte-identical with or without it.
+  // The batch's fleet. When RunBatch injects a shared FleetScheduler here,
+  // the engine submits its fan-out tasks to it (tagged fleet_job); when
+  // null, a parallel run builds a private fleet through StartFleet(plan).
+  // Placement only -- never part of the checkpoint config fingerprint,
+  // results stay byte-identical either way.
   FleetScheduler* fleet = nullptr;
   uint32_t fleet_job = 0;
   // Suppress the engine's own REVNIC_PARALLEL_STATS stderr block; RunBatch
@@ -158,8 +154,7 @@ struct EngineStats {
 };
 
 // Parallel/distributed exercising diagnostics, populated whenever the staged
-// parallel architecture runs (resolved plan: threads >= 2, sub_shards >= 1,
-// or worker_processes >= 1). All figures are deterministic work units, not
+// parallel architecture runs (!IsSequentialPlan(plan)). All figures are deterministic work units, not
 // wall-clock; REVNIC_PARALLEL_STATS=1 prints them to stderr. Runtime
 // diagnostic -- not serialized into checkpoints (merged checkpoint bytes stay
 // plan-shape independent within the guarantee grid).
@@ -168,15 +163,15 @@ struct ParallelExerciseStats {
   uint64_t max_task_chain = 0;      // heaviest fan-out task (all its replicas)
   uint64_t critical_path = 0;       // spine_work + max_task_chain
   uint64_t sum_segment_work = 0;    // work landing in merged segments
-  uint64_t replayed_prefix_work = 0;  // spine-replay fallback/strategy re-runs
+  uint64_t replayed_prefix_work = 0;  // spine-prefix re-runs (restore fallback)
   uint64_t enum_work = 0;           // sub-shard enumeration re-run overhead
   uint32_t tasks = 0;               // fan-out tasks dispatched (steps x shards)
   uint32_t slots = 0;               // merged segment slots (begun)
   uint32_t sub_shards = 0;          // resolved plan.sub_shards
   uint32_t worker_processes = 0;    // workers the coordinator actually forked
   uint32_t failovers = 0;           // shard tasks that fell back in-process
-  // Fleet-scheduler figures (zero when no fleet ran this job).
-  uint32_t fleet_workers = 0;       // shared-pool lanes the job's tasks used
+  // Fleet-scheduler figures.
+  uint32_t fleet_workers = 0;       // lanes of the fleet the job's tasks ran on
   uint32_t fleet_steals = 0;        // tasks this job ran off their home lane
   // Snapshot-handoff byte accounting (multi-process mode; zero in-process).
   uint64_t handoff_bytes = 0;            // kWork payload bytes sent
@@ -215,7 +210,7 @@ struct EngineResult {
   bool cancelled = false;
   // Serialized "RSS1" snapshot of the final chain state (empty when
   // EngineConfig::capture_final_snapshot is off). Deterministic: identical
-  // across thread counts and handoff strategies for a fixed seed.
+  // across placements for a fixed seed.
   std::vector<uint8_t> final_snapshot;
   // Fan-out workers that failed to restore their start snapshot and fell
   // back to replaying the spine prefix. Always 0 in a healthy run (results
@@ -243,11 +238,18 @@ class Engine {
   // Runs the whole script; returns the wiretap output and statistics.
   EngineResult Run();
 
-  // Runs one fan-out task exactly as the in-process dispatcher would:
-  // restore the RSS1 snapshot (or replay the spine prefix), probe the step,
-  // and run the owned sub-shard roots. Stateless with respect to any Engine
-  // instance -- this is the entry point RunBatch's shared multi-driver
-  // worker-process handler uses, and it is what makes a stolen task
+  // Test-only oracle for RSS1 restore: Run(), except that every fan-out
+  // task re-executes the spine prefix instead of restoring its step
+  // snapshot -- the restore-failure fallback, taken on purpose. The result
+  // is byte-identical to Run()'s (tests/snapshot_test.cc pins that on every
+  // driver, clean and faulted); production code has no reason to call it.
+  EngineResult RunWithPrefixReplay();
+
+  // Runs one fan-out task exactly as a fleet lane would: restore the RSS1
+  // snapshot (or, when it is empty or fails to restore, replay the spine
+  // prefix), probe the step, and run the owned sub-shard roots. Stateless
+  // with respect to any Engine instance -- this is the entry point the
+  // fleet's forked workers use, and it is what makes a stolen task
   // byte-identical to a home-lane one.
   static FanoutTaskResult ExecuteFanoutTask(const isa::Image& image, const EngineConfig& config,
                                             const FanoutTask& task,
@@ -257,15 +259,6 @@ class Engine {
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };
-
-// Convenience wrapper.
-EngineResult ReverseEngineer(const isa::Image& image, const EngineConfig& config);
-
-// The effective ExercisePlan for a config. Since PR 9 removed the legacy
-// forwarding shims there is nothing left to fold: the plan IS
-// config.plan, returned as-is so the engine, RunBatch, and the
-// CheckpointStore config fingerprint all key off one accessor.
-ExercisePlan ResolveExercisePlan(const EngineConfig& config);
 
 }  // namespace revnic::core
 

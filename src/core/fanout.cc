@@ -209,13 +209,6 @@ void SerializeFanoutWorkInto(uint32_t job, const FanoutTask& task,
   out->insert(out->end(), snapshot.begin(), snapshot.end());
 }
 
-std::vector<uint8_t> SerializeFanoutWork(const FanoutTask& task,
-                                         const std::vector<uint8_t>& snapshot) {
-  std::vector<uint8_t> out;
-  SerializeFanoutWorkInto(0, task, std::string(), snapshot, &out);
-  return out;
-}
-
 bool DeserializeFanoutWork(const std::vector<uint8_t>& bytes, uint32_t* job, FanoutTask* task,
                            std::string* context_key, std::vector<uint8_t>* snapshot,
                            std::string* error) {
@@ -241,13 +234,6 @@ bool DeserializeFanoutWork(const std::vector<uint8_t>& bytes, uint32_t* job, Fan
     return fail("fanout work: truncated snapshot");
   }
   return true;
-}
-
-bool DeserializeFanoutWork(const std::vector<uint8_t>& bytes, FanoutTask* task,
-                           std::vector<uint8_t>* snapshot, std::string* error) {
-  uint32_t job;
-  std::string key;
-  return DeserializeFanoutWork(bytes, &job, task, &key, snapshot, error);
 }
 
 std::vector<uint8_t> SerializeFanoutResult(const FanoutTaskResult& result) {

@@ -1,8 +1,8 @@
 // Fan-out task descriptors + their RDP1 payload encodings (PR 8).
 //
 // Under the staged parallel exerciser a fan-out task is one (script step,
-// sub-shard) pair. The in-process dispatcher and the forked dist workers run
-// the exact same task entry point (core::Engine's RunFanoutTask) on the same
+// sub-shard) pair. Fleet lanes and the forked dist workers run the exact
+// same task entry point (core::Engine's RunFanoutTask) on the same
 // inputs; this header defines the task/result structs and the byte encodings
 // that carry them across the RDP1 socket (src/dist/wire.h). The result
 // encoding round-trips every EngineResult field the canonical merge and the
@@ -47,8 +47,8 @@ struct FanoutTaskResult {
   // critical-path unit REVNIC_PARALLEL_STATS reports.
   uint64_t task_work = 0;
   // Portions of task_work that are handoff overhead rather than segment
-  // exploration: spine-prefix re-execution (replay strategy or restore
-  // failover) and sub-shard enumeration re-runs.
+  // exploration: spine-prefix re-execution (the restore fallback) and
+  // sub-shard enumeration re-runs.
   uint64_t replayed_work = 0;
   uint64_t enum_work = 0;
   uint64_t restore_failures = 0;
@@ -60,24 +60,18 @@ struct FanoutTaskResult {
 // per-process context cache (src/dist/coordinator.h ships the blob at most
 // once per worker with a kContext frame, so the step's K sub-shard tasks
 // and stolen tasks don't re-ship state). Both key and inline bytes empty =
-// spine-replay strategy; the worker re-executes the prefix instead.
+// no snapshot; the worker re-executes the spine prefix instead.
 //
 // SerializeFanoutWorkInto writes into *out in place (cleared, capacity
-// kept): the fan-out path keeps ONE such buffer per dispatcher/fleet
-// worker, so steady-state handoff does no per-task reallocation.
+// kept): the fan-out path keeps ONE such buffer per fleet lane, so
+// steady-state handoff does no per-task reallocation.
 void SerializeFanoutWorkInto(uint32_t job, const FanoutTask& task,
                              const std::string& context_key,
                              const std::vector<uint8_t>& snapshot,
                              std::vector<uint8_t>* out);
-std::vector<uint8_t> SerializeFanoutWork(const FanoutTask& task,
-                                         const std::vector<uint8_t>& snapshot);
 bool DeserializeFanoutWork(const std::vector<uint8_t>& bytes, uint32_t* job, FanoutTask* task,
                            std::string* context_key, std::vector<uint8_t>* snapshot,
                            std::string* error);
-// Single-job convenience (tests and the PR 8-shaped call sites): job and
-// context key are parsed and discarded.
-bool DeserializeFanoutWork(const std::vector<uint8_t>& bytes, FanoutTask* task,
-                           std::vector<uint8_t>* snapshot, std::string* error);
 
 // Result payload: every slot's merge-relevant EngineResult fields (bundle,
 // coverage, timeline, counter blocks, entries, call counts, apis, fault

@@ -3,44 +3,11 @@
 #include <algorithm>
 #include <numeric>
 
+#include "core/fanout.h"
+#include "dist/coordinator.h"
+
 namespace revnic::core {
 namespace {
-
-// Process-wide record of completed-task work units keyed by
-// (job label, step, shard): the second batch in a process submits with the
-// first batch's measured work as its estimate instead of the spine-derived
-// seed. Purely a queue-priority refinement -- never consulted by the
-// virtual placement models, which use each run's own records.
-class EstimateRegistry {
- public:
-  static EstimateRegistry& Instance() {
-    static EstimateRegistry r;
-    return r;
-  }
-
-  bool Lookup(const std::string& label, uint64_t step, uint32_t shard, uint64_t* out) const {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = map_.find(Key(label, step, shard));
-    if (it == map_.end()) {
-      return false;
-    }
-    *out = it->second;
-    return true;
-  }
-
-  void Record(const std::string& label, uint64_t step, uint32_t shard, uint64_t work) {
-    std::lock_guard<std::mutex> lock(mu_);
-    map_[Key(label, step, shard)] = work;
-  }
-
- private:
-  static std::string Key(const std::string& label, uint64_t step, uint32_t shard) {
-    return label + "#" + std::to_string(step) + "#" + std::to_string(shard);
-  }
-
-  mutable std::mutex mu_;
-  std::map<std::string, uint64_t> map_;
-};
 
 unsigned ArgminLane(const std::vector<uint64_t>& loads) {
   unsigned best = 0;
@@ -70,12 +37,12 @@ uint64_t LptMakespan(const std::vector<uint64_t>& works, unsigned lanes) {
   return *std::max_element(loads.begin(), loads.end());
 }
 
-FleetScheduler::FleetScheduler(const Options& options) : options_(options) {
-  options_.workers = std::max(1u, options_.workers);
-  lanes_.resize(options_.workers);
-  committed_.assign(options_.workers, 0);
-  threads_.reserve(options_.workers);
-  for (unsigned lane = 0; lane < options_.workers; ++lane) {
+FleetScheduler::FleetScheduler(unsigned workers, std::unique_ptr<dist::WorkerPool> pool)
+    : workers_(std::max(1u, workers)), pool_(std::move(pool)) {
+  lanes_.resize(workers_);
+  committed_.assign(workers_, 0);
+  threads_.reserve(workers_);
+  for (unsigned lane = 0; lane < workers_; ++lane) {
     threads_.emplace_back([this, lane] { WorkerLoop(lane); });
   }
 }
@@ -91,11 +58,6 @@ FleetScheduler::~FleetScheduler() {
   }
 }
 
-void FleetScheduler::SetJobLabel(uint32_t job, std::string label) {
-  std::lock_guard<std::mutex> lock(mu_);
-  labels_[job] = std::move(label);
-}
-
 void FleetScheduler::SetJobSpineWork(uint32_t job, uint64_t spine_work) {
   std::lock_guard<std::mutex> lock(mu_);
   spine_work_[job] = spine_work;
@@ -103,18 +65,11 @@ void FleetScheduler::SetJobSpineWork(uint32_t job, uint64_t spine_work) {
 
 void FleetScheduler::RunJobTasks(uint32_t job, std::vector<Task> tasks) {
   std::unique_lock<std::mutex> lock(mu_);
-  const std::string label = labels_.count(job) ? labels_[job] : std::string();
   for (Task& t : tasks) {
     t.job = job;
-    if (!label.empty()) {
-      uint64_t recorded;
-      if (EstimateRegistry::Instance().Lookup(label, t.step, t.shard, &recorded)) {
-        t.estimate = recorded;
-      }
-    }
     t.estimate = std::max<uint64_t>(1, t.estimate);
     // Home placement: least-committed lane by estimate, tie lowest index --
-    // the same greedy the no-steal virtual model replays in canonical order.
+    // the same greedy ComputeStats replays to count virtual steals.
     const unsigned home = ArgminLane(committed_);
     committed_[home] += t.estimate;
     PKey key{t.estimate, job, t.step, t.shard};
@@ -138,13 +93,12 @@ void FleetScheduler::WorkerLoop(unsigned lane) {
   WorkerContext ctx;
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    // Own lane first; with stealing on, an idle worker takes the globally
-    // best queued task (highest estimate, canonical tie-break) from any
-    // other lane.
+    // Own lane first; an idle worker takes the globally best queued task
+    // (highest estimate, canonical tie-break) from any other lane.
     unsigned src = static_cast<unsigned>(lanes_.size());
     if (!lanes_[lane].empty()) {
       src = lane;
-    } else if (options_.steal) {
+    } else {
       const PKey* best = nullptr;
       for (unsigned l = 0; l < lanes_.size(); ++l) {
         if (lanes_[l].empty()) {
@@ -174,10 +128,6 @@ void FleetScheduler::WorkerLoop(unsigned lane) {
     const uint64_t work = task.run ? task.run(ctx) : 0;
     lock.lock();
     records_.push_back({task.job, task.step, task.shard, task.estimate, work});
-    auto lit = labels_.find(task.job);
-    if (lit != labels_.end() && !lit->second.empty()) {
-      EstimateRegistry::Instance().Record(lit->second, task.step, task.shard, work);
-    }
     if (--outstanding_[task.job] == 0) {
       done_cv_.notify_all();
     }
@@ -187,8 +137,7 @@ void FleetScheduler::WorkerLoop(unsigned lane) {
 FleetBatchStats FleetScheduler::ComputeStats() const {
   std::lock_guard<std::mutex> lock(mu_);
   FleetBatchStats st;
-  st.workers = options_.workers;
-  st.steal = options_.steal;
+  st.workers = workers_;
   st.tasks = static_cast<uint32_t>(records_.size());
   for (const auto& [job, steals] : real_steals_) {
     st.real_steals += steals;
@@ -213,26 +162,22 @@ FleetBatchStats FleetScheduler::ComputeStats() const {
   for (const FleetTaskRecord& r : recs) {
     st.total_task_work += r.work;
   }
-  const unsigned W = std::max(1u, options_.workers);
+  const unsigned W = workers_;
 
-  // No-steal model: the estimate-greedy home placement, replayed in
-  // canonical order, with each lane's load summed from the ACTUAL work of
-  // the tasks homed on it -- exactly what a fleet that never rebalances
-  // pays when estimates and reality diverge.
+  // Home lanes: the estimate-greedy placement RunJobTasks makes, replayed
+  // in canonical order.
   std::vector<uint64_t> committed(W, 0);
-  std::vector<uint64_t> home_load(W, 0);
   std::vector<unsigned> vhome(recs.size(), 0);
   for (size_t i = 0; i < recs.size(); ++i) {
     const unsigned lane = ArgminLane(committed);
     vhome[i] = lane;
     committed[lane] += std::max<uint64_t>(1, recs[i].estimate);
-    home_load[lane] += recs[i].work;
   }
-  st.no_steal_makespan = recs.empty() ? 0 : *std::max_element(home_load.begin(), home_load.end());
 
   // Steal model: LPT over the actual per-task work -- the placement a fleet
   // with stealing converges to (an idle lane always takes the heaviest
-  // queued chain). A task landing off its home lane is one virtual steal.
+  // queued chain). A task landing off its home lane is one virtual steal,
+  // so virtual_steals measures how far the estimates were off.
   std::vector<size_t> order(recs.size());
   std::iota(order.begin(), order.end(), 0);
   std::stable_sort(order.begin(), order.end(),
@@ -248,7 +193,7 @@ FleetBatchStats FleetScheduler::ComputeStats() const {
   st.steal_makespan =
       recs.empty() ? 0 : *std::max_element(steal_load.begin(), steal_load.end());
 
-  // PR 8 static-split model, same records: for every outer x inner split of
+  // Static-split model, same records: for every outer x inner split of
   // the same W workers, each job costs spine + LPT(its tasks over inner
   // lanes), jobs list-schedule onto the outer lanes in input order, and the
   // baseline takes the BEST split -- a generous static opponent.
@@ -280,13 +225,64 @@ FleetBatchStats FleetScheduler::ComputeStats() const {
   }
   st.static_makespan = best_static;
 
-  // Fleet-mode spines run on their own batch threads, overlapped with the
-  // fan-out; the heaviest spine floors the batch either way.
-  st.no_steal_makespan = std::max(st.no_steal_makespan, st.max_spine_work);
+  // Spines run on their own job threads, overlapped with the fan-out; the
+  // heaviest spine floors the batch.
   st.steal_makespan = std::max(st.steal_makespan, st.max_spine_work);
-  st.makespan = st.steal ? st.steal_makespan : st.no_steal_makespan;
-  st.lane_work = st.steal ? steal_load : home_load;
+  st.makespan = st.steal_makespan;
+  st.lane_work = std::move(steal_load);
   return st;
+}
+
+std::unique_ptr<FleetScheduler> StartFleet(const ExercisePlan& plan,
+                                           const std::vector<FleetJob>& jobs) {
+  const unsigned worker_processes = plan.worker_processes;
+  const unsigned lanes = std::max(PlanLanes(plan), worker_processes);
+  std::unique_ptr<dist::WorkerPool> pool;
+  if (worker_processes >= 1) {
+    auto table = std::make_shared<std::vector<FleetJob>>(jobs);
+    for (FleetJob& job : *table) {
+      // Hooks and the scheduler must not cross the fork: children never
+      // observe a cancel, and monitoring is coordinator-side.
+      job.config.cancel = nullptr;
+      job.config.on_coverage = nullptr;
+      job.config.fleet = nullptr;
+    }
+    dist::WorkerPool::Options wopts;
+    wopts.workers = worker_processes;
+    pool = std::make_unique<dist::WorkerPool>(
+        wopts, [table](const dist::ContextCache& contexts, const std::vector<uint8_t>& work,
+                       std::vector<uint8_t>* reply, std::string* err) {
+          FanoutTask task;
+          uint32_t job = 0;
+          std::string key;
+          std::vector<uint8_t> inline_snapshot;
+          if (!DeserializeFanoutWork(work, &job, &task, &key, &inline_snapshot, err)) {
+            return false;
+          }
+          if (job >= table->size() || (*table)[job].image == nullptr) {
+            *err = "fanout work names an unknown fleet job";
+            return false;
+          }
+          const std::vector<uint8_t>* snapshot = &inline_snapshot;
+          if (inline_snapshot.empty() && !key.empty()) {
+            // Snapshot handoff rides the context cache: shipped at most
+            // once per worker per (job, step), referenced by key here.
+            snapshot = contexts.Find(key);
+            if (snapshot == nullptr) {
+              *err = "fanout work references uncached context: " + key;
+              return false;
+            }
+          }
+          const FleetJob& fj = (*table)[job];
+          *reply = SerializeFanoutResult(
+              Engine::ExecuteFanoutTask(*fj.image, fj.config, task, *snapshot));
+          return true;
+        });
+    if (pool->alive() == 0) {
+      pool.reset();  // every fork/handshake failed; run fully in-process
+    }
+  }
+  return std::make_unique<FleetScheduler>(lanes, std::move(pool));
 }
 
 }  // namespace revnic::core

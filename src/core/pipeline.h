@@ -1,13 +1,8 @@
-// End-to-end RevNIC pipeline: exercise + wiretap (engine) -> pass-based CFG
-// recovery + cleanup (synth passes) -> per-target C emission (synth
-// backends). One call takes a closed binary driver image to a runnable
-// recovered module and its C renderings.
-//
-// RunPipeline() is the legacy one-shot wrapper over core::Session (see
-// session.h); it routes through the same pass pipeline and emission
-// backends as Session -- there is no second synthesis path. New code that
-// wants staging, checkpoints, progress callbacks, or batching should use
-// Session directly.
+// End-to-end RevNIC pipeline types: exercise + wiretap (engine) ->
+// pass-based CFG recovery + cleanup (synth passes) -> per-target C emission
+// (synth backends). core::Session (session.h) runs the stages; this header
+// holds what configures its downstream stages (EmitOptions) and what a
+// finished session hands back (PipelineResult).
 #ifndef REVNIC_CORE_PIPELINE_H_
 #define REVNIC_CORE_PIPELINE_H_
 
@@ -48,10 +43,6 @@ struct PipelineResult {
   std::map<os::TargetOs, std::string> emitted;
   std::map<os::TargetOs, synth::EmissionStats> emission_stats;
 };
-
-PipelineResult RunPipeline(const isa::Image& image, const EngineConfig& config);
-PipelineResult RunPipeline(const isa::Image& image, const EngineConfig& config,
-                           const EmitOptions& emit);
 
 }  // namespace revnic::core
 

@@ -7,8 +7,6 @@
 #include <cstring>
 #include <thread>
 
-#include "core/fanout.h"
-#include "dist/coordinator.h"
 #include "synth/emit.h"
 #include "synth/passes.h"
 #include "trace/serialize.h"
@@ -497,17 +495,11 @@ namespace {
 
 // One aggregated REVNIC_PARALLEL_STATS block for the whole batch (the
 // engine's per-job print is suppressed by quiet_parallel_stats): per-driver
-// rows in input order, then fleet totals with the deterministic virtual
+// rows in input order, then the fleet totals with the deterministic virtual
 // makespans (core/fleet.h).
 void PrintBatchParallelStats(const BatchResult& batch) {
-  uint64_t total_tasks = 0;
-  uint64_t total_steals = 0;
-  uint64_t total_failovers = 0;
   for (const BatchJobResult& j : batch.jobs) {
     const ParallelExerciseStats& p = j.result.engine.parallel;
-    total_tasks += p.tasks;
-    total_steals += p.fleet_steals;
-    total_failovers += p.failovers;
     fprintf(stderr,
             "[batch-parallel] job=%s spine=%llu tasks=%u critical=%llu "
             "steals=%u failovers=%u handoff=%lluB reused=%lluB\n",
@@ -519,17 +511,11 @@ void PrintBatchParallelStats(const BatchResult& batch) {
   if (batch.fleet_used) {
     const FleetBatchStats& f = batch.fleet;
     fprintf(stderr,
-            "[batch-parallel] fleet workers=%u steal=%s tasks=%u steals=%u "
-            "(virtual=%u) failovers=%u makespan=%llu "
-            "(static=%llu no-steal=%llu steal=%llu spine-floor=%llu)\n",
-            f.workers, f.steal ? "on" : "off", f.tasks, f.real_steals, f.virtual_steals,
-            f.failovers, (unsigned long long)f.makespan,
-            (unsigned long long)f.static_makespan, (unsigned long long)f.no_steal_makespan,
-            (unsigned long long)f.steal_makespan, (unsigned long long)f.max_spine_work);
-  } else {
-    fprintf(stderr, "[batch-parallel] static split: tasks=%llu steals=%llu failovers=%llu\n",
-            (unsigned long long)total_tasks, (unsigned long long)total_steals,
-            (unsigned long long)total_failovers);
+            "[batch-parallel] fleet workers=%u tasks=%u steals=%u (virtual=%u) "
+            "failovers=%u makespan=%llu (static=%llu spine-floor=%llu)\n",
+            f.workers, f.tasks, f.real_steals, f.virtual_steals, f.failovers,
+            (unsigned long long)f.makespan, (unsigned long long)f.static_makespan,
+            (unsigned long long)f.max_spine_work);
   }
 }
 
@@ -541,122 +527,56 @@ BatchResult RunBatch(const std::vector<BatchJob>& jobs, const BatchOptions& opti
   if (jobs.empty()) {
     return batch;
   }
-  // Fleet mode (PR 10): one shared scheduler (and one shared worker pool)
-  // for the whole batch instead of a static per-job thread slice.
-  const bool fleet_mode = options.plan && options.plan->fleet >= 1;
+  // Effective per-job configs, resolved up front: the shared fleet forks its
+  // worker pool before any batch thread starts, and the forked handler
+  // needs the final job table (image + config per job). A job that left
+  // plan.threads at 0 defers to the template: it inherits the template's
+  // plan but keeps its own fault plan, because faults are a semantic
+  // choice, not a sizing one. Its output class is then IsSequentialPlan of
+  // the inherited plan -- a pure function of the template, never of the
+  // core count or of the batch's size.
+  std::vector<EngineConfig> eff(jobs.size());
+  std::vector<FleetJob> fleet_jobs(jobs.size());
+  bool any_on_fleet = false;
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    eff[i] = jobs[i].config;
+    EngineConfig& cfg = eff[i];
+    if (!options.plan || cfg.plan.threads != 0) {
+      continue;
+    }
+    hw::FaultPlan job_faults = cfg.plan.faults;
+    cfg.plan = *options.plan;
+    if (job_faults.Enabled()) {
+      cfg.plan.faults = job_faults;
+    }
+    if (!IsSequentialPlan(cfg.plan) && jobs[i].image != nullptr) {
+      // Deferring parallel-class jobs share the batch's fleet.
+      fleet_jobs[i] = {jobs[i].image, cfg};
+      any_on_fleet = true;
+    }
+  }
+
+  // One fleet (and one RDP1 worker pool, forked here while this process is
+  // still single-threaded) for every deferring parallel job. Jobs with an
+  // explicit plan run as standalone sessions, each on its own private
+  // fleet.
+  std::unique_ptr<FleetScheduler> fleet;
+  if (any_on_fleet) {
+    fleet = StartFleet(*options.plan, fleet_jobs);
+  }
   unsigned concurrency = options.concurrency;
-  if (concurrency == 0) {
+  if (fleet != nullptr) {
+    // Job threads mostly sleep inside RunJobTasks while the fleet executes;
+    // one thread per job keeps every spine overlapped with the fan-out.
+    concurrency = static_cast<unsigned>(jobs.size());
+  } else if (concurrency == 0) {
     unsigned hw = std::thread::hardware_concurrency();
     concurrency = hw == 0 ? 2 : hw;
   }
   // An explicit request is honored even beyond the core count (workers just
   // timeslice); there is never a point in more workers than jobs.
   concurrency = std::min(concurrency, static_cast<unsigned>(jobs.size()));
-  if (fleet_mode) {
-    // Job threads mostly sleep inside RunJobTasks while the fleet executes;
-    // one thread per job keeps every spine overlapped with the fan-out.
-    concurrency = static_cast<unsigned>(jobs.size());
-  }
   batch.concurrency = concurrency;
-  // Outer x inner thread split: jobs that deferred their exercise-stage
-  // sizing (plan.threads == 0) inherit the batch plan template with the
-  // global budget shared evenly across the outer workers.
-  const unsigned budget = options.plan ? options.plan->threads : 0;
-  unsigned inner_threads = budget == 0 ? 0 : std::max(1u, budget / concurrency);
-
-  // Effective per-job configs, resolved up front: fleet mode forks the
-  // shared worker pool before any batch thread starts, and the forked
-  // handler needs the final job table (image + resolved config per job).
-  std::vector<EngineConfig> eff(jobs.size());
-  std::vector<bool> on_fleet(jobs.size(), false);
-  for (size_t i = 0; i < jobs.size(); ++i) {
-    eff[i] = jobs[i].config;
-    EngineConfig& cfg = eff[i];
-    if (cfg.plan.threads == 0 && (inner_threads != 0 || fleet_mode)) {
-      // Inherit the template's parallelism shape, but keep the job's own
-      // fault plan: deferring the thread split must not silently swap
-      // which faults a job runs under (the pre-PR 9 folding did exactly
-      // that when the template carried faults). Under fleet scheduling the
-      // inherited plan is forced parallel-shaped (threads >= 2) so the job
-      // takes the engine's parallel path -- which the byte-identity
-      // guarantee already pins equal to every other parallel shape --
-      // regardless of how small the divided budget is.
-      hw::FaultPlan job_faults = cfg.plan.faults;
-      cfg.plan = *options.plan;
-      cfg.plan.threads = fleet_mode ? std::max(2u, inner_threads) : inner_threads;
-      if (job_faults.Enabled()) {
-        cfg.plan.faults = job_faults;
-      }
-      on_fleet[i] = fleet_mode;
-    }
-  }
-
-  // Shared RDP1 worker pool, forked while this process is still
-  // single-threaded (the quietest fork point RunBatch has; the job table
-  // crosses into the children via fork, so only snapshots ever cross the
-  // wire). Work items carry their batch job index -- one pool serves every
-  // driver.
-  std::unique_ptr<dist::WorkerPool> pool;
-  std::unique_ptr<FleetScheduler> fleet;
-  if (fleet_mode) {
-    if (options.plan->worker_processes >= 1) {
-      struct ChildJob {
-        const isa::Image* image;
-        EngineConfig cfg;
-      };
-      auto table = std::make_shared<std::vector<ChildJob>>();
-      table->reserve(jobs.size());
-      for (size_t i = 0; i < jobs.size(); ++i) {
-        EngineConfig child_cfg = eff[i];
-        // Hooks and the scheduler must not cross the fork.
-        child_cfg.cancel = nullptr;
-        child_cfg.on_coverage = nullptr;
-        child_cfg.fleet = nullptr;
-        table->push_back({jobs[i].image, std::move(child_cfg)});
-      }
-      dist::WorkerPool::Options wopts;
-      wopts.workers = options.plan->worker_processes;
-      pool = std::make_unique<dist::WorkerPool>(
-          wopts, [table](const dist::ContextCache& contexts, const std::vector<uint8_t>& work,
-                         std::vector<uint8_t>* reply, std::string* err) {
-            FanoutTask task;
-            uint32_t job = 0;
-            std::string key;
-            std::vector<uint8_t> inline_snapshot;
-            if (!DeserializeFanoutWork(work, &job, &task, &key, &inline_snapshot, err)) {
-              return false;
-            }
-            if (job >= table->size() || (*table)[job].image == nullptr) {
-              *err = "fanout work names an unknown batch job";
-              return false;
-            }
-            const std::vector<uint8_t>* snapshot = &inline_snapshot;
-            if (inline_snapshot.empty() && !key.empty()) {
-              const std::vector<uint8_t>* cached = contexts.Find(key);
-              if (cached == nullptr) {
-                *err = "fanout work references uncached context: " + key;
-                return false;
-              }
-              snapshot = cached;
-            }
-            FanoutTaskResult r =
-                Engine::ExecuteFanoutTask(*(*table)[job].image, (*table)[job].cfg, task, *snapshot);
-            *reply = SerializeFanoutResult(r);
-            return true;
-          });
-      if (pool->alive() == 0) {
-        pool.reset();  // every fork/handshake failed; fleet runs in-process
-      }
-    }
-    FleetScheduler::Options fopts;
-    fopts.workers = options.plan->fleet;
-    fopts.steal = options.plan->steal;
-    fopts.dist_pool = pool.get();
-    fleet = std::make_unique<FleetScheduler>(fopts);
-    for (size_t i = 0; i < jobs.size(); ++i) {
-      fleet->SetJobLabel(static_cast<uint32_t>(i), jobs[i].name);
-    }
-  }
 
   std::atomic<size_t> next{0};
   std::mutex done_mu;
@@ -671,7 +591,7 @@ BatchResult RunBatch(const std::vector<BatchJob>& jobs, const BatchOptions& opti
         EngineConfig cfg = eff[i];
         // RunBatch reports one aggregated stats block after the join.
         cfg.quiet_parallel_stats = true;
-        if (fleet != nullptr && on_fleet[i]) {
+        if (fleet_jobs[i].image != nullptr) {
           cfg.fleet = fleet.get();
           cfg.fleet_job = static_cast<uint32_t>(i);
         }
@@ -710,21 +630,12 @@ BatchResult RunBatch(const std::vector<BatchJob>& jobs, const BatchOptions& opti
     for (const BatchJobResult& j : batch.jobs) {
       batch.fleet.failovers += j.result.engine.parallel.failovers;
     }
-    fleet.reset();  // join fleet workers before the pool shuts down
-    pool.reset();
+    fleet.reset();  // join the lanes, then shut the worker pool down
   }
   if (getenv("REVNIC_PARALLEL_STATS") != nullptr) {
     PrintBatchParallelStats(batch);
   }
   return batch;
-}
-
-BatchResult RunBatch(const std::vector<BatchJob>& jobs, unsigned concurrency,
-                     const std::function<void(const BatchJobResult&)>& on_job_done) {
-  BatchOptions options;
-  options.concurrency = concurrency;
-  options.on_job_done = on_job_done;
-  return RunBatch(jobs, options);
 }
 
 std::function<void(const CoverageSample&)> MakeCoverageJsonlLogger(JsonlWriter* sink,
@@ -776,39 +687,22 @@ std::string ConfigFingerprint(const EngineConfig& c) {
   mix(c.cancel ? 1 : 0);
   // Presence of the final-state snapshot changes the checkpoint bytes.
   mix(c.capture_final_snapshot ? 1 : 0);
-  // Sharding/worker/fault configuration is folded through the *resolved*
-  // plan, so the legacy-field and plan spellings of the same run share a key
-  // (and a plan-only fault spec cannot alias a fault-free run). The fault
-  // plan reshapes the explored tree; rates are mixed as raw IEEE-754 bits --
-  // any representational change is a schedule change. plan.fan_out
-  // deliberately is NOT mixed: both handoff strategies produce
-  // byte-identical results (tests/snapshot_test.cc), so their checkpoints
-  // are interchangeable. Ditto worker_processes beyond the parallel class,
-  // and PR 10's plan.fleet / plan.steal (placement-only; pinned
-  // byte-identical by tests/dist_test.cc) -- but sub_shards changes the
-  // merged slot layout, so its exact value is output-relevant.
-  const ExercisePlan plan = ResolveExercisePlan(c);
-  mix(plan.faults.seed);
-  for (double rate : plan.faults.rates) {
+  // The fault plan reshapes the explored tree; rates are mixed as raw
+  // IEEE-754 bits -- any representational change is a schedule change.
+  // sub_shards changes the merged slot layout, so its exact value is
+  // output-relevant. The output class (IsSequentialPlan) is mixed as one
+  // bit: every parallel-class placement -- lane count, worker processes --
+  // produces byte-identical results (tests/dist_test.cc), so plan.threads,
+  // plan.fleet and plan.worker_processes enter only through it.
+  mix(c.plan.faults.seed);
+  for (double rate : c.plan.faults.rates) {
     uint64_t bits;
     static_assert(sizeof(bits) == sizeof(rate));
     std::memcpy(&bits, &rate, sizeof(bits));
     mix(bits);
   }
-  mix(plan.sub_shards);
-  // Parallel exercising changes the explored tree, so the architecture is
-  // output-relevant -- but every thread count >= 2 (and any worker-process
-  // count) produces byte-identical results, so the key only distinguishes
-  // the sequential engine from the parallel one, resolving 0 the same way
-  // Engine::Run does.
-  unsigned threads = plan.threads;
-  if (threads == 0) {
-    unsigned hw = std::thread::hardware_concurrency();
-    threads = hw == 0 ? 2 : hw;
-  }
-  const bool parallel =
-      threads >= 2 || plan.sub_shards >= 1 || plan.worker_processes >= 1;
-  mix(parallel ? 2 : 1);
+  mix(c.plan.sub_shards);
+  mix(IsSequentialPlan(c.plan) ? 1 : 2);
   // Container sizes are mixed before their elements so adjacent
   // variable-length fields cannot alias each other's streams.
   mix(c.skip_apis.size());

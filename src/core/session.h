@@ -22,8 +22,7 @@
 // substrate has no shared mutable state), and cache counters are aggregated
 // across jobs.
 //
-// The legacy entry points RunPipeline()/ReverseEngineer() survive as thin
-// wrappers over Session; see README.md for the migration table.
+// README.md has the migration table from the removed one-shot wrappers.
 #ifndef REVNIC_CORE_SESSION_H_
 #define REVNIC_CORE_SESSION_H_
 
@@ -191,8 +190,8 @@ struct BatchResult {
   std::vector<BatchJobResult> jobs;  // input order
   perf::SubstrateCounters aggregate; // cache counters summed across jobs
   unsigned concurrency = 0;          // worker threads actually used
-  // Fleet-scheduler batch stats (PR 10): populated when the template plan
-  // asked for fleet scheduling (plan.fleet >= 1). Every makespan is a
+  // Stats of the batch's shared fleet: populated when at least one job
+  // deferred to a parallel-class template. Every makespan is a
   // deterministic virtual placement over recorded work units -- see
   // core/fleet.h. Zero/false otherwise.
   bool fleet_used = false;
@@ -208,32 +207,24 @@ struct BatchResult {
 };
 
 struct BatchOptions {
-  // Outer, driver-level workers (0 = one per job, capped at hardware
-  // concurrency).
+  // Driver-level job threads (0 = one per job, capped at hardware
+  // concurrency). Ignored when the batch runs a shared fleet: then every
+  // job gets a thread, since job threads mostly wait on the fleet.
   unsigned concurrency = 0;
-  // Batch-wide ExercisePlan template. Its `threads` is the global budget
-  // shared between the outer batch dimension and each job's inner exercise
-  // stage: every job whose own plan left threads at 0 ("size for me")
-  // inherits this plan with threads = max(1, threads / outer_workers), so
-  // outer x inner never oversubscribes the budget. The template's
-  // sub-shards / fan-out / worker-process settings pass through to those
-  // jobs unchanged, but a deferring job's own *fault* plan survives the
-  // inheritance -- faults are a semantic choice, not a sizing one. Jobs
-  // with an explicit thread count keep their whole plan untouched. (The
-  // deprecated threads-only `thread_budget` spelling was removed in PR 9;
-  // see the migration table in src/core/README.md.)
+  // Batch-wide ExercisePlan template. Every job whose own plan left
+  // threads at 0 defers to it: the job runs the template's plan, except
+  // that the job's own *enabled* fault plan survives (faults are a
+  // semantic choice, not a sizing one). Jobs with an explicit thread count
+  // keep their whole plan untouched.
   //
-  // Fleet scheduling (PR 10): a template with plan.fleet >= 1 replaces the
-  // static outer x inner split with ONE shared FleetScheduler (plan.fleet
-  // worker lanes, plan.steal stealing) plus ONE shared RDP1 worker pool when
-  // plan.worker_processes >= 1, forked before any batch thread starts. Jobs
-  // that deferred their sizing (plan.threads == 0) join the fleet (their
-  // inherited plan gets threads = max(2, budget/outer) so they take the
-  // parallel engine path); jobs with an explicit plan run exactly as
-  // before, off the fleet. Scheduling is placement-only -- merged bytes are
-  // pinned identical across fleet sizes, stealing on/off, and process
-  // counts -- and RunBatch prints one aggregated REVNIC_PARALLEL_STATS
-  // block for the whole batch instead of one per job.
+  // Deferring jobs whose inherited plan is parallel-class
+  // (!IsSequentialPlan) share ONE core::FleetScheduler built by
+  // StartFleet(template), plus ONE RDP1 worker pool when the template
+  // asks for worker_processes, forked before any batch thread starts. Every
+  // other parallel job runs on a private fleet. Scheduling is
+  // placement-only -- merged bytes are pinned identical across lane counts
+  // and process counts -- and RunBatch prints one aggregated
+  // REVNIC_PARALLEL_STATS block for the whole batch instead of one per job.
   std::optional<ExercisePlan> plan;
   // Invoked once per finished job, serialized by an internal mutex.
   std::function<void(const BatchJobResult&)> on_job_done;
@@ -244,9 +235,6 @@ struct BatchOptions {
 // per-driver standalone runs (and, per the engine's determinism guarantee,
 // independent of every concurrency setting here).
 BatchResult RunBatch(const std::vector<BatchJob>& jobs, const BatchOptions& options);
-// Compatibility wrapper: outer-level parallelism only.
-BatchResult RunBatch(const std::vector<BatchJob>& jobs, unsigned concurrency = 0,
-                     const std::function<void(const BatchJobResult&)>& on_job_done = nullptr);
 
 // An on_coverage callback that streams every sample as one JSONL object --
 // {"driver":<label>,"work":N,"covered":N} -- into `sink` (which the caller

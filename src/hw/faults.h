@@ -14,8 +14,9 @@
 // perform the same boundary-event sequence therefore see the same faults --
 // which is what makes the parallel exerciser's byte-identity guarantee
 // survive fault injection: the cursor rides in RSS1 snapshots next to the
-// shell-device serial, so snapshot-restore and spine-replay fan-out resume
-// the schedule at exactly the same point. See src/hw/README.md for the full
+// shell-device serial, so a fan-out task that restores its snapshot and one
+// that replays the spine prefix resume the schedule at exactly the same
+// point. See src/hw/README.md for the full
 // determinism argument and the spec grammar.
 //
 // Two consumers share the schedule:

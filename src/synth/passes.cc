@@ -112,7 +112,7 @@ bool ReadsR0BeforeDef(const Block& block) {
   return false;
 }
 
-// ---- recovery passes (the §4.1 steps of the old BuildModule) ----
+// ---- recovery passes (the §4.1 steps of the old monolithic builder) ----
 
 // Orders the wiretap's block records by state/seq and counts asynchronous
 // boundaries: a record whose resolved successor or register file does not

@@ -1,7 +1,7 @@
 // The synthesis pass pipeline (trace -> RecoveredModule), built on
 // ir::PassManager.
 //
-// Recovery passes decompose the old monolithic BuildModule into the §4.1
+// Recovery passes decompose the old monolithic module builder into the §4.1
 // steps the paper names -- async-boundary detection, indirect-target
 // collection, block splitting, function discovery, classification,
 // param/return inference, entry-role mapping. Cleanup passes then shrink

@@ -1,7 +1,9 @@
-// Distributed exercising (PR 8): the ExercisePlan grid guarantee -- fixed
-// seed => byte-identical merged checkpoints across {threads} x {sub-shards} x
-// {in-process, multi-process} x {restore, replay}, clean and faulted -- plus
-// the RDP1 wire protocol units, worker-crash failover, and the pcnet
+// Distributed exercising: the ExercisePlan placement guarantee -- fixed
+// seed => byte-identical merged checkpoints across {fleet lanes 1/2/4} x
+// {in-process, 2 worker processes}, clean and faulted, on every driver, for
+// whole-step fan-out (K = 0) and across sub-shard counts K >= 1 -- plus the
+// RDP1 wire protocol units,
+// worker-crash failover, the fleet's batch statistics, and the pcnet
 // critical-path ledger bound.
 #include <gtest/gtest.h>
 
@@ -9,6 +11,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <string>
 #include <thread>
 
 #include "core/fanout.h"
@@ -31,23 +35,19 @@ core::EngineConfig SmallConfig(DriverId id, uint64_t max_work = 60'000) {
 }
 
 struct PlanSpec {
-  unsigned threads = 2;
+  unsigned lanes = 2;
   unsigned sub_shards = 2;
-  core::FanOut fan_out = core::FanOut::kSnapshotRestore;
   unsigned workers = 0;
   const char* faults = nullptr;
-  unsigned fleet = 0;  // PR 10: private single-job fleet (0 = classic split)
-  bool steal = true;
 };
 
+// Always the parallel class (threads = 0), with `lanes` fleet lanes.
 core::EngineConfig PlanConfig(DriverId id, const PlanSpec& spec, uint64_t max_work = 60'000) {
   core::EngineConfig cfg = SmallConfig(id, max_work);
-  cfg.plan.threads = spec.threads;
+  cfg.plan.threads = 0;
+  cfg.plan.fleet = spec.lanes;
   cfg.plan.sub_shards = spec.sub_shards;
-  cfg.plan.fan_out = spec.fan_out;
   cfg.plan.worker_processes = spec.workers;
-  cfg.plan.fleet = spec.fleet;
-  cfg.plan.steal = spec.steal;
   if (spec.faults != nullptr) {
     std::string error;
     EXPECT_TRUE(hw::ParseFaultPlan(spec.faults, &cfg.plan.faults, &error)) << error;
@@ -138,21 +138,29 @@ TEST(Rdp1Wire, ReadTimesOutOnSilence) {
   close(sv[1]);
 }
 
-TEST(FanoutPayloads, WorkRoundTrip) {
+TEST(FanoutPayloads, WorkRoundTripWithInlineSnapshot) {
   core::FanoutTask task{7, 3, 4};
   std::vector<uint8_t> snapshot = {9, 8, 7, 6, 5};
-  std::vector<uint8_t> bytes = core::SerializeFanoutWork(task, snapshot);
+  std::vector<uint8_t> bytes;
+  core::SerializeFanoutWorkInto(0, task, "", snapshot, &bytes);
+  uint32_t job = 99;
   core::FanoutTask out_task;
+  std::string key = "stale";
   std::vector<uint8_t> out_snapshot;
   std::string error;
-  ASSERT_TRUE(core::DeserializeFanoutWork(bytes, &out_task, &out_snapshot, &error)) << error;
+  ASSERT_TRUE(
+      core::DeserializeFanoutWork(bytes, &job, &out_task, &key, &out_snapshot, &error))
+      << error;
+  EXPECT_EQ(job, 0u);
+  EXPECT_TRUE(key.empty());
   EXPECT_EQ(out_task.step, 7u);
   EXPECT_EQ(out_task.sub_shard, 3u);
   EXPECT_EQ(out_task.sub_shards, 4u);
   EXPECT_EQ(out_snapshot, snapshot);
   // A truncated work payload must fail cleanly.
   bytes.pop_back();
-  EXPECT_FALSE(core::DeserializeFanoutWork(bytes, &out_task, &out_snapshot, &error));
+  EXPECT_FALSE(
+      core::DeserializeFanoutWork(bytes, &job, &out_task, &key, &out_snapshot, &error));
 }
 
 TEST(FanoutPayloads, ResultRoundTripCarriesCountersAndSlots) {
@@ -198,53 +206,82 @@ TEST(FanoutPayloads, WorkV2CarriesJobAndContextKeyAndReusesBuffer) {
   EXPECT_EQ(out_task.sub_shard, 1u);
   EXPECT_EQ(key, "j3/s9");
   EXPECT_TRUE(out_snapshot.empty());
-  // The satellite contract: re-serializing into the same buffer reuses its
-  // storage (one serialization buffer per fleet worker, no per-task churn).
+  // Re-serializing into the same buffer reuses its storage (one
+  // serialization buffer per fleet lane, no per-task churn).
   const uint8_t* storage = buf.data();
   const size_t capacity = buf.capacity();
   core::SerializeFanoutWorkInto(3, task, "j3/s9", {}, &buf);
   EXPECT_EQ(buf.data(), storage);
   EXPECT_EQ(buf.capacity(), capacity);
-  // The single-job wrapper (PR 8 call shape) parses as job 0, empty key.
-  std::vector<uint8_t> legacy = core::SerializeFanoutWork(task, {5, 6, 7});
-  ASSERT_TRUE(
-      core::DeserializeFanoutWork(legacy, &job, &out_task, &key, &out_snapshot, &error))
-      << error;
-  EXPECT_EQ(job, 0u);
-  EXPECT_TRUE(key.empty());
-  EXPECT_EQ(out_snapshot, (std::vector<uint8_t>{5, 6, 7}));
 }
 
-// ---- the grid guarantee (in-process) ----
+// ---- the placement grid ----
 
-TEST(DistExercise, SubShardGridByteIdentical) {
-  // One baseline, every other {threads, sub-shards, fan-out} cell must match
-  // it byte for byte. (K >= 1 uses the sub-shard slot layout, so the
-  // baseline is a K >= 1 run; K == 0 parity with the legacy layout is pinned
-  // by parallel_exercise_test.)
-  std::vector<uint8_t> baseline = PlanBlob(DriverId::kRtl8029, {2, 1});
-  ASSERT_FALSE(baseline.empty());
-  EXPECT_EQ(baseline, PlanBlob(DriverId::kRtl8029, {1, 1}));
-  EXPECT_EQ(baseline, PlanBlob(DriverId::kRtl8029, {1, 4}));
-  EXPECT_EQ(baseline, PlanBlob(DriverId::kRtl8029, {2, 2}));
-  EXPECT_EQ(baseline, PlanBlob(DriverId::kRtl8029, {2, 4}));
-  EXPECT_EQ(baseline, PlanBlob(DriverId::kRtl8029, {4, 2}));
-  EXPECT_EQ(baseline, PlanBlob(DriverId::kRtl8029, {4, 4}));
-  EXPECT_EQ(baseline,
-            PlanBlob(DriverId::kRtl8029, {2, 2, core::FanOut::kSpineReplay}));
-}
-
-TEST(DistExercise, FourDriversCleanAndFaultedAgreeAcrossTheGrid) {
+TEST(DistExercise, PlacementGridByteIdenticalOnAllDrivers) {
+  // Placement never changes a byte: every {lanes} x {in-process, 2-worker}
+  // cell matches the 1-lane in-process run, clean and faulted, on every
+  // registered driver. Two extra cells run at K = 4 against the K = 2
+  // baseline: every K >= 1 merges to the same bytes, under faults too.
+  struct Cell {
+    unsigned lanes, sub_shards, workers;
+  };
+  const Cell cells[] = {{2, 2, 0}, {4, 2, 0}, {1, 2, 2}, {2, 2, 2},
+                        {4, 2, 2}, {2, 4, 0}, {4, 4, 2}};
   for (DriverId id : drivers::kAllDrivers) {
     for (const char* faults : {(const char*)nullptr, "1729:all=0.05"}) {
-      PlanSpec a{2, 2, core::FanOut::kSnapshotRestore, 0, faults};
-      PlanSpec b{4, 4, core::FanOut::kSpineReplay, 0, faults};
-      std::vector<uint8_t> blob_a = PlanBlob(id, a, 40'000);
-      ASSERT_FALSE(blob_a.empty()) << drivers::DriverName(id);
-      EXPECT_EQ(blob_a, PlanBlob(id, b, 40'000))
-          << drivers::DriverName(id) << (faults ? " faulted" : " clean");
+      const std::string what =
+          std::string(drivers::DriverName(id)) + (faults != nullptr ? " faulted" : " clean");
+      std::vector<uint8_t> baseline = PlanBlob(id, {1, 2, 0, faults}, 30'000);
+      ASSERT_FALSE(baseline.empty()) << what;
+      for (const Cell& c : cells) {
+        const std::string cell = what + " lanes=" + std::to_string(c.lanes) +
+                                 " K=" + std::to_string(c.sub_shards) +
+                                 " workers=" + std::to_string(c.workers);
+        core::ParallelExerciseStats stats;
+        EXPECT_EQ(baseline, PlanBlob(id, {c.lanes, c.sub_shards, c.workers, faults}, 30'000,
+                                     &stats))
+            << cell;
+        // A fleet never has fewer lanes than workers: at lanes=1 with two
+        // workers it runs two lanes, so both workers get tasks.
+        EXPECT_EQ(stats.fleet_workers, std::max(c.lanes, c.workers)) << cell;
+        EXPECT_EQ(stats.worker_processes, c.workers) << cell;
+        EXPECT_EQ(stats.failovers, 0u) << cell;
+        if (c.workers > 0) {
+          // The snapshot handoff rides the workers' context cache.
+          EXPECT_GT(stats.snapshot_bytes_shipped + stats.snapshot_bytes_reused, 0u) << cell;
+        }
+      }
     }
   }
+}
+
+TEST(DistExercise, WholeStepPlacementGridByteIdenticalOnAllDrivers) {
+  // K = 0 is a distinct slot layout from K >= 1; its merged bytes are just
+  // as placement-independent: 2 lanes, 4 lanes and 4 lanes over 2 workers
+  // agree on every driver, clean and faulted.
+  for (DriverId id : drivers::kAllDrivers) {
+    for (const char* faults : {(const char*)nullptr, "1729:all=0.05"}) {
+      const std::string what =
+          std::string(drivers::DriverName(id)) + (faults != nullptr ? " faulted" : " clean");
+      std::vector<uint8_t> two = PlanBlob(id, {2, 0, 0, faults}, 30'000);
+      ASSERT_FALSE(two.empty()) << what;
+      EXPECT_EQ(two, PlanBlob(id, {4, 0, 0, faults}, 30'000)) << what << " lanes=4";
+      core::ParallelExerciseStats stats;
+      EXPECT_EQ(two, PlanBlob(id, {4, 0, 2, faults}, 30'000, &stats)) << what << " workers=2";
+      EXPECT_EQ(stats.worker_processes, 2u) << what;
+      EXPECT_EQ(stats.failovers, 0u) << what;
+    }
+  }
+}
+
+TEST(DistExercise, SubShardCountsAgree) {
+  // K >= 1 only routes root ownership, so every K >= 1 merges to the same
+  // bytes (K = 2 against K = 4 is also pinned per driver in the grid
+  // above).
+  std::vector<uint8_t> k1 = PlanBlob(DriverId::kRtl8029, {2, 1});
+  ASSERT_FALSE(k1.empty());
+  EXPECT_EQ(k1, PlanBlob(DriverId::kRtl8029, {2, 2}));
+  EXPECT_EQ(k1, PlanBlob(DriverId::kRtl8029, {4, 4}));
 }
 
 TEST(DistExercise, SubShardCheckpointLoadsAndResumesDownstream) {
@@ -268,126 +305,35 @@ TEST(DistExercise, SubShardCheckpointLoadsAndResumesDownstream) {
   EXPECT_EQ(resumed->c_source(), s.c_source());
 }
 
-// ---- multi-process mode ----
+// ---- failover ----
 
-TEST(DistExercise, MultiProcessMatchesInProcess) {
-  // Same plan, worker processes on vs off: byte-identical checkpoints, for
-  // both fan-out architectures and under faults.
-  for (const PlanSpec& in_proc :
-       {PlanSpec{2, 2}, PlanSpec{2, 0}, PlanSpec{2, 2, core::FanOut::kSnapshotRestore,
-                                                  0, "1729:all=0.05"}}) {
-    PlanSpec multi = in_proc;
-    multi.workers = 2;
-    core::ParallelExerciseStats stats;
-    std::vector<uint8_t> local = PlanBlob(DriverId::kRtl8029, in_proc, 40'000);
-    std::vector<uint8_t> dist = PlanBlob(DriverId::kRtl8029, multi, 40'000, &stats);
-    ASSERT_FALSE(local.empty());
-    EXPECT_EQ(local, dist);
-    EXPECT_EQ(stats.worker_processes, 2u);
-    EXPECT_EQ(stats.failovers, 0u);
-  }
-}
-
-TEST(DistExercise, WorkerCrashFailsOverToIdenticalBytes) {
-  // The first worker dies on its first work item (deterministic crash hook);
-  // its tasks fail over in-process and the merged bytes are unchanged.
-  std::vector<uint8_t> healthy = PlanBlob(DriverId::kRtl8029, {2, 2}, 40'000);
+TEST(DistExercise, WorkerKilledMidRunFailsOverToIdenticalBytes) {
+  // The first worker dies on its first work item (deterministic crash hook,
+  // after its kContext ship); its lane fails the task over in-process and
+  // the merged bytes are unchanged.
+  std::vector<uint8_t> healthy = PlanBlob(DriverId::kRtl8029, {2, 2}, 30'000);
   setenv("REVNIC_DIST_KILL_FIRST_WORKER", "1", 1);
   core::ParallelExerciseStats stats;
-  std::vector<uint8_t> crashed =
-      PlanBlob(DriverId::kRtl8029, {2, 2, core::FanOut::kSnapshotRestore, 2}, 40'000, &stats);
+  std::vector<uint8_t> crashed = PlanBlob(DriverId::kRtl8029, {2, 2, 2}, 30'000, &stats);
   unsetenv("REVNIC_DIST_KILL_FIRST_WORKER");
   ASSERT_FALSE(healthy.empty());
   EXPECT_EQ(healthy, crashed);
   EXPECT_GE(stats.failovers, 1u);
 }
 
-// ---- the fleet scheduler (PR 10) ----
+// ---- the batch's shared fleet ----
 
-TEST(DistExercise, FleetGridByteIdenticalAcrossAllDrivers) {
-  // Fixed seed => byte-identical merged checkpoints for every fleet size and
-  // stealing mode, clean and faulted, on every registered driver. The
-  // baseline is the PR 8 static split of the SAME parallel-shaped plan; the
-  // fleet only changes placement.
-  for (DriverId id : drivers::kAllDrivers) {
-    std::vector<uint8_t> clean = PlanBlob(id, {2, 2}, 30'000);
-    ASSERT_FALSE(clean.empty()) << drivers::DriverName(id);
-    core::ParallelExerciseStats stats;
-    EXPECT_EQ(clean, PlanBlob(id, {2, 2, core::FanOut::kSnapshotRestore, 0, nullptr,
-                                   /*fleet=*/1},
-                              30'000))
-        << drivers::DriverName(id) << " fleet=1";
-    EXPECT_EQ(clean, PlanBlob(id, {2, 2, core::FanOut::kSnapshotRestore, 0, nullptr,
-                                   /*fleet=*/2},
-                              30'000, &stats))
-        << drivers::DriverName(id) << " fleet=2";
-    EXPECT_EQ(stats.fleet_workers, 2u) << drivers::DriverName(id);
-    EXPECT_EQ(clean, PlanBlob(id, {2, 2, core::FanOut::kSnapshotRestore, 0, nullptr,
-                                   /*fleet=*/4, /*steal=*/false},
-                              30'000))
-        << drivers::DriverName(id) << " fleet=4 no-steal";
-    std::vector<uint8_t> faulted =
-        PlanBlob(id, {2, 2, core::FanOut::kSnapshotRestore, 0, "1729:all=0.05"}, 30'000);
-    ASSERT_FALSE(faulted.empty()) << drivers::DriverName(id);
-    EXPECT_EQ(faulted, PlanBlob(id, {2, 2, core::FanOut::kSnapshotRestore, 0,
-                                     "1729:all=0.05", /*fleet=*/2},
-                                30'000))
-        << drivers::DriverName(id) << " fleet=2 faulted";
-  }
-}
-
-TEST(DistExercise, FleetMultiProcessMatchesInProcess) {
-  // Fleet lanes dispatching to forked RDP1 workers (snapshots handed off via
-  // the kContext cache) produce the same bytes as the all-in-process fleet.
-  std::vector<uint8_t> in_proc = PlanBlob(
-      DriverId::kRtl8029,
-      {2, 2, core::FanOut::kSnapshotRestore, 0, nullptr, /*fleet=*/2}, 30'000);
-  ASSERT_FALSE(in_proc.empty());
-  core::ParallelExerciseStats stats;
-  std::vector<uint8_t> dist = PlanBlob(
-      DriverId::kRtl8029,
-      {2, 2, core::FanOut::kSnapshotRestore, /*workers=*/2, nullptr, /*fleet=*/2}, 30'000,
-      &stats);
-  EXPECT_EQ(in_proc, dist);
-  EXPECT_EQ(stats.worker_processes, 2u);
-  // The snapshot handoff rides the context cache: each (step) blob ships to
-  // a given worker at most once, later tasks reference it by key.
-  EXPECT_GT(stats.snapshot_bytes_shipped + stats.snapshot_bytes_reused, 0u);
-}
-
-TEST(DistExercise, FleetWorkerKilledMidStealFailsOverToIdenticalBytes) {
-  // A dist worker dies on its first stolen work item (after its kContext
-  // ship); the fleet lane fails the task over in-process and the merged
-  // bytes are unchanged.
-  std::vector<uint8_t> healthy = PlanBlob(
-      DriverId::kRtl8029,
-      {2, 2, core::FanOut::kSnapshotRestore, 0, nullptr, /*fleet=*/2}, 30'000);
-  setenv("REVNIC_DIST_KILL_FIRST_WORKER", "1", 1);
-  core::ParallelExerciseStats stats;
-  std::vector<uint8_t> crashed = PlanBlob(
-      DriverId::kRtl8029,
-      {2, 2, core::FanOut::kSnapshotRestore, /*workers=*/2, nullptr, /*fleet=*/2}, 30'000,
-      &stats);
-  unsetenv("REVNIC_DIST_KILL_FIRST_WORKER");
-  ASSERT_FALSE(healthy.empty());
-  EXPECT_EQ(healthy, crashed);
-  EXPECT_GE(stats.failovers, 1u);
-}
-
-TEST(DistExercise, FleetBatchMakespanDeterministicAcrossRuns) {
-  // RunBatch under one shared fleet: same seed + same plan => the virtual
-  // makespans (computed from recorded work units, not wall clock) agree bit
-  // for bit across runs, and every job's emitted source matches the static
-  // split's -- scheduling is placement-only end to end.
-  auto run_batch = [](bool fleet_mode) {
+TEST(DistExercise, FleetBatchStatsDeterministicAcrossRuns) {
+  // RunBatch under one shared fleet: same seed + same plan => every
+  // deterministic FleetBatchStats field -- the virtual makespans, the
+  // virtual lane loads and the estimate-vs-LPT steal count -- agrees bit
+  // for bit across two batches in ONE process (no state carries from one
+  // fleet to the next), and every job's emitted source matches.
+  auto run_batch = [] {
     core::ExercisePlan plan;
     plan.sub_shards = 2;
-    if (fleet_mode) {
-      plan.fleet = 4;
-      plan.threads = 0;  // defer sizing to the batch template
-    } else {
-      plan.threads = 2;
-    }
+    plan.fleet = 4;
+    plan.threads = 0;  // defer to the batch template
     std::vector<core::BatchJob> jobs;
     for (const drivers::TargetInfo& t : drivers::AllTargets()) {
       core::BatchJob job;
@@ -398,68 +344,40 @@ TEST(DistExercise, FleetBatchMakespanDeterministicAcrossRuns) {
       jobs.push_back(std::move(job));
     }
     core::BatchOptions options;
-    if (fleet_mode) {
-      options.plan = plan;
-    }
+    options.plan = plan;
     return core::RunBatch(jobs, options);
   };
-  core::BatchResult fleet_a = run_batch(true);
-  core::BatchResult fleet_b = run_batch(true);
-  core::BatchResult static_split = run_batch(false);
-  ASSERT_TRUE(fleet_a.AllOk());
-  ASSERT_TRUE(fleet_b.AllOk());
-  ASSERT_TRUE(static_split.AllOk());
-  ASSERT_TRUE(fleet_a.fleet_used);
-  EXPECT_FALSE(static_split.fleet_used);
-  EXPECT_GT(fleet_a.fleet.tasks, 0u);
-  EXPECT_EQ(fleet_a.fleet.workers, 4u);
-  EXPECT_EQ(fleet_a.fleet.lane_work.size(), 4u);
-  // Determinism: models computed from recorded ACTUAL work reproduce
-  // exactly. (no_steal_makespan homes tasks by estimate, and the estimate
-  // registry warms between same-process runs, so it is deliberately not
-  // compared across runs -- a fresh process reproduces it too.)
-  EXPECT_EQ(fleet_a.fleet.makespan, fleet_b.fleet.makespan);
-  EXPECT_EQ(fleet_a.fleet.static_makespan, fleet_b.fleet.static_makespan);
-  EXPECT_EQ(fleet_a.fleet.tasks, fleet_b.fleet.tasks);
-  EXPECT_EQ(fleet_a.fleet.total_task_work, fleet_b.fleet.total_task_work);
-  // Steal mode reports the steal model, and the shared-lane LPT placement
-  // never loses to the best static outer x inner split of the same records.
-  EXPECT_EQ(fleet_a.fleet.makespan, fleet_a.fleet.steal_makespan);
-  EXPECT_LE(fleet_a.fleet.steal_makespan, fleet_a.fleet.static_makespan);
-  EXPECT_GE(fleet_a.fleet.makespan, fleet_a.fleet.max_spine_work);
-  // End-to-end identity: every job's emitted driver source is the same
-  // whether its tasks ran on the shared fleet or the static split.
-  ASSERT_EQ(fleet_a.jobs.size(), static_split.jobs.size());
-  for (size_t i = 0; i < fleet_a.jobs.size(); ++i) {
-    EXPECT_EQ(fleet_a.jobs[i].result.c_source, static_split.jobs[i].result.c_source)
-        << fleet_a.jobs[i].name;
-    EXPECT_EQ(fleet_a.jobs[i].result.c_source, fleet_b.jobs[i].result.c_source)
-        << fleet_a.jobs[i].name;
+  core::BatchResult a = run_batch();
+  core::BatchResult b = run_batch();
+  ASSERT_TRUE(a.AllOk());
+  ASSERT_TRUE(b.AllOk());
+  ASSERT_TRUE(a.fleet_used);
+  ASSERT_TRUE(b.fleet_used);
+  const core::FleetBatchStats& fa = a.fleet;
+  const core::FleetBatchStats& fb = b.fleet;
+  EXPECT_GT(fa.tasks, 0u);
+  EXPECT_EQ(fa.workers, 4u);
+  EXPECT_EQ(fa.lane_work.size(), 4u);
+  // Every field but real_steals (the live interleaving, monitoring only).
+  EXPECT_EQ(fa.workers, fb.workers);
+  EXPECT_EQ(fa.tasks, fb.tasks);
+  EXPECT_EQ(fa.total_task_work, fb.total_task_work);
+  EXPECT_EQ(fa.max_spine_work, fb.max_spine_work);
+  EXPECT_EQ(fa.makespan, fb.makespan);
+  EXPECT_EQ(fa.static_makespan, fb.static_makespan);
+  EXPECT_EQ(fa.steal_makespan, fb.steal_makespan);
+  EXPECT_EQ(fa.virtual_steals, fb.virtual_steals);
+  EXPECT_EQ(fa.failovers, fb.failovers);
+  EXPECT_EQ(fa.lane_work, fb.lane_work);
+  // The fleet reports the LPT model, which never loses to the best static
+  // outer x inner split of the same records.
+  EXPECT_EQ(fa.makespan, fa.steal_makespan);
+  EXPECT_LE(fa.steal_makespan, fa.static_makespan);
+  EXPECT_GE(fa.makespan, fa.max_spine_work);
+  ASSERT_EQ(a.jobs.size(), b.jobs.size());
+  for (size_t i = 0; i < a.jobs.size(); ++i) {
+    EXPECT_EQ(a.jobs[i].result.c_source, b.jobs[i].result.c_source) << a.jobs[i].name;
   }
-}
-
-// ---- plan resolution (PR 9: shims removed) ----
-
-TEST(DistExercise, ResolvedPlanIsConfigPlanVerbatim) {
-  core::EngineConfig cfg;
-  cfg.plan.threads = 3;
-  cfg.plan.fan_out = core::FanOut::kSpineReplay;
-  std::string error;
-  ASSERT_TRUE(hw::ParseFaultPlan("7:all=0.01", &cfg.plan.faults, &error)) << error;
-  core::ExercisePlan plan = core::ResolveExercisePlan(cfg);
-  EXPECT_EQ(plan.threads, 3u);
-  EXPECT_EQ(plan.fan_out, core::FanOut::kSpineReplay);
-  EXPECT_TRUE(plan.faults.Enabled());
-
-  // Pre-PR 9, fan_out's default was indistinguishable from "unset", so a
-  // legacy spine_replay_fanout bool could bleed through an explicitly
-  // defaulted plan. With the shims gone, setting the field back to its
-  // default means exactly that.
-  cfg.plan.threads = 2;
-  cfg.plan.fan_out = core::FanOut::kSnapshotRestore;
-  plan = core::ResolveExercisePlan(cfg);
-  EXPECT_EQ(plan.threads, 2u);
-  EXPECT_EQ(plan.fan_out, core::FanOut::kSnapshotRestore);
 }
 
 // ---- the perf contract ----
@@ -471,7 +389,8 @@ TEST(DistExercise, PcnetCriticalPathDropsBelowWholeStepFanout) {
   auto run = [](unsigned sub_shards, core::ParallelExerciseStats* stats) {
     core::EngineConfig cfg;  // default budgets: the ledger's configuration
     cfg.pci = drivers::DriverPci(DriverId::kPcnet);
-    cfg.plan.threads = 4;
+    cfg.plan.fleet = 4;
+    cfg.plan.threads = 0;
     cfg.plan.sub_shards = sub_shards;
     core::Session s(drivers::DriverImage(DriverId::kPcnet), cfg);
     ASSERT_TRUE(s.Exercise());

@@ -155,7 +155,7 @@ class EngineTest : public ::testing::Test {
 };
 
 TEST_F(EngineTest, DiscoversRegisteredEntryPoints) {
-  EngineResult r = ReverseEngineer(image_, config_);
+  EngineResult r = Engine(image_, config_).Run();
   EXPECT_GE(r.entries.size(), 5u);  // init, isr, dpc, send, halt
   bool has_send = false;
   for (const os::EntryPoint& e : r.entries) {
@@ -165,7 +165,7 @@ TEST_F(EngineTest, DiscoversRegisteredEntryPoints) {
 }
 
 TEST_F(EngineTest, SymbolicHardwareForksStatusPaths) {
-  EngineResult r = ReverseEngineer(image_, config_);
+  EngineResult r = Engine(image_, config_).Run();
   // Both feature branches in init and all three ISR causes must be covered:
   // near-total coverage on this tiny driver.
   EXPECT_GE(r.CoveragePercent(), 95.0);
@@ -175,7 +175,7 @@ TEST_F(EngineTest, SymbolicHardwareForksStatusPaths) {
 TEST_F(EngineTest, SubstrateCachesCarryTheRun) {
   // A coverage-style run must lean on every cache layer: solver query cache
   // (incremental path growth), expression interning, and the DBT block cache.
-  EngineResult r = ReverseEngineer(image_, config_);
+  EngineResult r = Engine(image_, config_).Run();
   EXPECT_GT(r.solver_stats.queries, 0u);
   EXPECT_GT(r.solver_stats.cache_hits, 0u);
   EXPECT_GT(r.substrate.intern_hits, 0u);
@@ -184,7 +184,7 @@ TEST_F(EngineTest, SubstrateCachesCarryTheRun) {
 }
 
 TEST_F(EngineTest, DmaRegionTracked) {
-  EngineResult r = ReverseEngineer(image_, config_);
+  EngineResult r = Engine(image_, config_).Run();
   bool saw_dma_alloc = false;
   for (const trace::ApiRecord& a : r.bundle.api_records) {
     saw_dma_alloc |= a.api_id == os::kNdisMAllocateSharedMemory;
@@ -193,7 +193,7 @@ TEST_F(EngineTest, DmaRegionTracked) {
 }
 
 TEST_F(EngineTest, SkipListedApiIsSkipped) {
-  EngineResult r = ReverseEngineer(image_, config_);
+  EngineResult r = Engine(image_, config_).Run();
   bool skipped = false;
   for (const trace::ApiRecord& a : r.bundle.api_records) {
     if (a.api_id == os::kNdisWriteErrorLogEntry) {
@@ -205,7 +205,7 @@ TEST_F(EngineTest, SkipListedApiIsSkipped) {
 }
 
 TEST_F(EngineTest, IrqInjectionEventsRecorded) {
-  EngineResult r = ReverseEngineer(image_, config_);
+  EngineResult r = Engine(image_, config_).Run();
   EXPECT_GT(r.stats.irqs_injected, 0u);
   bool saw_inject = false;
   for (const trace::EventRecord& e : r.bundle.events) {
@@ -219,7 +219,7 @@ TEST_F(EngineTest, PollingLoopStatesKilled) {
   // the step: low visit threshold, high success cap.
   config_.polling_visit_threshold = 8;
   config_.entry_success_cap = 1000;
-  EngineResult r = ReverseEngineer(image_, config_);
+  EngineResult r = Engine(image_, config_).Run();
   // The init_poll loop reads symbolic hardware each iteration: the stay-in-
   // loop state must be culled, not run forever.
   EXPECT_GT(r.stats.states_killed_polling, 0u);
@@ -227,18 +227,18 @@ TEST_F(EngineTest, PollingLoopStatesKilled) {
 
 TEST_F(EngineTest, IrqInjectionCanBeDisabled) {
   config_.inject_irqs = false;
-  EngineResult r = ReverseEngineer(image_, config_);
+  EngineResult r = Engine(image_, config_).Run();
   EXPECT_EQ(r.stats.irqs_injected, 0u);
 }
 
 TEST_F(EngineTest, WorkBudgetRespected) {
   config_.max_work = 500;
-  EngineResult r = ReverseEngineer(image_, config_);
+  EngineResult r = Engine(image_, config_).Run();
   EXPECT_LE(r.stats.work, 520u);  // budget plus one block of slack
 }
 
 TEST_F(EngineTest, CoverageTimelineMonotone) {
-  EngineResult r = ReverseEngineer(image_, config_);
+  EngineResult r = Engine(image_, config_).Run();
   ASSERT_FALSE(r.timeline.empty());
   for (size_t i = 1; i < r.timeline.size(); ++i) {
     EXPECT_GE(r.timeline[i].covered_blocks, r.timeline[i - 1].covered_blocks);
@@ -247,8 +247,8 @@ TEST_F(EngineTest, CoverageTimelineMonotone) {
 }
 
 TEST_F(EngineTest, DeterministicAcrossRuns) {
-  EngineResult a = ReverseEngineer(image_, config_);
-  EngineResult b = ReverseEngineer(image_, config_);
+  EngineResult a = Engine(image_, config_).Run();
+  EngineResult b = Engine(image_, config_).Run();
   EXPECT_EQ(a.covered_blocks, b.covered_blocks);
   EXPECT_EQ(a.stats.work, b.stats.work);
   EXPECT_EQ(a.bundle.block_records.size(), b.bundle.block_records.size());
@@ -256,9 +256,9 @@ TEST_F(EngineTest, DeterministicAcrossRuns) {
 
 TEST_F(EngineTest, SchedulerStrategyAffectsExploration) {
   config_.max_work = 2'000;
-  EngineResult paper = ReverseEngineer(image_, config_);
+  EngineResult paper = Engine(image_, config_).Run();
   config_.pool.strategy = symex::SelectionStrategy::kDfs;
-  EngineResult dfs = ReverseEngineer(image_, config_);
+  EngineResult dfs = Engine(image_, config_).Run();
   // Both run; the paper heuristic must not be worse on this tiny driver.
   EXPECT_GE(paper.CoveragePercent() + 1e-9, dfs.CoveragePercent() * 0.8);
 }

@@ -57,7 +57,7 @@ TEST(FunctionModels, ModeledFunctionIsSkipped) {
   cfg.pci = drivers::MakeDevice(DriverId::kRtl8029)->pci();
   cfg.function_models.push_back({.entry_pc = hot_pc, .arg_bytes = 4, .symbolic_return = true});
   core::EngineResult second =
-      core::ReverseEngineer(drivers::DriverImage(DriverId::kRtl8029), cfg);
+      core::Engine(drivers::DriverImage(DriverId::kRtl8029), cfg).Run();
   EXPECT_GT(second.functions_modeled, 0u);
   // The modeled function's interior blocks are no longer executed.
   EXPECT_LT(second.CoveragePercent(), 100.0);
@@ -77,9 +77,11 @@ TEST(ModuleDiff, RerunOnSameBinaryIsStable) {
   // produce identical recovered modules (the paper's re-run workflow).
   core::EngineConfig cfg;
   cfg.pci = drivers::MakeDevice(DriverId::kRtl8029)->pci();
-  core::PipelineResult a = core::RunPipeline(drivers::DriverImage(DriverId::kRtl8029), cfg);
-  core::PipelineResult b = core::RunPipeline(drivers::DriverImage(DriverId::kRtl8029), cfg);
-  synth::ModuleDiff diff = synth::DiffModules(a.module, b.module);
+  core::Session a(drivers::DriverImage(DriverId::kRtl8029), cfg);
+  core::Session b(drivers::DriverImage(DriverId::kRtl8029), cfg);
+  ASSERT_TRUE(a.RecoverCfg());
+  ASSERT_TRUE(b.RecoverCfg());
+  synth::ModuleDiff diff = synth::DiffModules(a.module(), b.module());
   EXPECT_TRUE(diff.Identical()) << synth::FormatDiff(diff);
 }
 
@@ -96,10 +98,11 @@ TEST(ModuleDiff, PatchedDriverShowsModifiedFunction) {
 
   core::EngineConfig cfg;
   cfg.pci = drivers::MakeDevice(DriverId::kRtl8029)->pci();
-  core::PipelineResult old_run =
-      core::RunPipeline(drivers::DriverImage(DriverId::kRtl8029), cfg);
-  core::PipelineResult new_run = core::RunPipeline(img.image, cfg);
-  synth::ModuleDiff diff = synth::DiffModules(old_run.module, new_run.module);
+  core::Session old_run(drivers::DriverImage(DriverId::kRtl8029), cfg);
+  core::Session new_run(img.image, cfg);
+  ASSERT_TRUE(old_run.RecoverCfg());
+  ASSERT_TRUE(new_run.RecoverCfg());
+  synth::ModuleDiff diff = synth::DiffModules(old_run.module(), new_run.module());
   EXPECT_GT(diff.num_modified + diff.num_added + diff.num_removed, 0u);
   // Most of the driver is untouched.
   EXPECT_GT(diff.num_unchanged, diff.num_modified);

@@ -1,9 +1,9 @@
-// Parallel exercising (ExercisePlan::threads >= 2): determinism across
-// thread counts, exact legacy equivalence at 1 thread, coverage parity and
-// downstream-output parity vs the sequential exerciser, cooperative cancel
-// draining the worker pool, checkpoint interop between parallel and
-// sequential sessions, the RunBatch plan-budget split, and the JSONL
-// coverage sink.
+// Parallel exercising (the parallel output class, !IsSequentialPlan):
+// determinism across lane counts, exact legacy equivalence at 1 thread,
+// coverage parity and downstream-output parity vs the sequential exerciser,
+// cooperative cancel draining the fleet, checkpoint interop between
+// parallel and sequential sessions, RunBatch template inheritance, and the
+// JSONL coverage sink.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -201,27 +201,29 @@ TEST(ParallelExercise, SequentialCheckpointResumesUnderParallelConfigTimes) {
 
 // ---- RunBatch composition ----
 
-TEST(ParallelExercise, BatchPlanBudgetMatchesStandaloneParallelRuns) {
+TEST(ParallelExercise, DeferringBatchJobsKeepTheTemplateOutputClass) {
+  // The output class is a pure function of the plan: a job that defers to
+  // a parallel-class template stays in the parallel class however small the
+  // template's lane count is next to the batch's concurrency. (Splitting a
+  // 2-thread budget over 2 job threads once demoted both jobs to the
+  // sequential engine, so their bytes depended on the batch's shape.)
   std::vector<core::BatchJob> jobs;
   for (DriverId id : {DriverId::kRtl8029, DriverId::kSmc91c111}) {
     core::BatchJob job;
     job.name = drivers::DriverName(id);
     job.image = &drivers::DriverImage(id);
     job.config = SmallConfig(id);
-    job.config.plan.threads = 0;  // defer to the batch's split
+    job.config.plan.threads = 0;  // defer to the batch's template
     jobs.push_back(std::move(job));
   }
   core::BatchOptions options;
   options.concurrency = 2;
-  core::ExercisePlan budget;
-  budget.threads = 4;  // outer 2 x inner 2
-  options.plan = budget;
+  core::ExercisePlan tmpl;
+  tmpl.threads = 2;
+  options.plan = tmpl;
   core::BatchResult batch = core::RunBatch(jobs, options);
   ASSERT_TRUE(batch.AllOk());
-  EXPECT_EQ(batch.concurrency, 2u);
 
-  // Determinism across thread counts makes the budget split transparent:
-  // each job's output equals a standalone parallel run's.
   for (size_t i = 0; i < jobs.size(); ++i) {
     DriverId id = i == 0 ? DriverId::kRtl8029 : DriverId::kSmc91c111;
     core::EngineConfig cfg = SmallConfig(id);
@@ -230,49 +232,32 @@ TEST(ParallelExercise, BatchPlanBudgetMatchesStandaloneParallelRuns) {
     ASSERT_TRUE(standalone.Synthesize());
     EXPECT_EQ(batch.jobs[i].result.c_source, standalone.c_source()) << batch.jobs[i].name;
     EXPECT_EQ(batch.jobs[i].result.engine.covered_blocks,
-              standalone.engine().covered_blocks);
+              standalone.engine().covered_blocks)
+        << batch.jobs[i].name;
+    EXPECT_EQ(batch.jobs[i].result.engine.stats.work, standalone.engine().stats.work)
+        << batch.jobs[i].name;
   }
 
-  // An explicit per-job setting wins over the budget.
+  // An explicit per-job setting wins over the template.
   jobs[0].config.plan.threads = 1;
   core::BatchResult explicit_batch = core::RunBatch(jobs, options);
   ASSERT_TRUE(explicit_batch.AllOk());
   core::Session seq(drivers::DriverImage(DriverId::kRtl8029), SmallConfig(DriverId::kRtl8029));
   ASSERT_TRUE(seq.Synthesize());
   EXPECT_EQ(explicit_batch.jobs[0].result.c_source, seq.c_source());
-}
-
-// ---- ExercisePlan is the only spelling (PR 9 shim removal) ----
-
-TEST(ParallelExercise, ResolveExercisePlanIsIdentity) {
-  // With the legacy shims gone there is nothing to fold: the resolved plan
-  // must be config.plan verbatim, including the fault plan.
-  core::EngineConfig cfg = SmallConfig(DriverId::kRtl8029);
-  cfg.plan.threads = 3;
-  cfg.plan.sub_shards = 2;
-  cfg.plan.fan_out = core::FanOut::kSpineReplay;
-  std::string error;
-  ASSERT_TRUE(hw::ParseFaultPlan("99:all=0.08", &cfg.plan.faults, &error)) << error;
-  core::ExercisePlan resolved = core::ResolveExercisePlan(cfg);
-  EXPECT_EQ(resolved.threads, 3u);
-  EXPECT_EQ(resolved.sub_shards, 2u);
-  EXPECT_EQ(resolved.fan_out, core::FanOut::kSpineReplay);
-  EXPECT_EQ(resolved.faults.seed, cfg.plan.faults.seed);
-  EXPECT_TRUE(resolved.faults.Enabled());
+  EXPECT_EQ(explicit_batch.jobs[0].result.engine.stats.work, seq.engine().stats.work);
 }
 
 TEST(ParallelExercise, BatchTemplateInheritancePreservesJobFaultPlan) {
-  // PR 9 fold-order fix: a job that defers its thread split
-  // (plan.threads == 0) but carries its own enabled fault plan must keep
-  // those faults when it inherits the batch template's parallelism shape.
-  // Before the fix the template's whole plan replaced the job's, silently
-  // dropping the job's faults.
+  // A job that defers to the template (plan.threads == 0) but carries its
+  // own enabled fault plan must keep those faults when it inherits the
+  // template's plan: faults are a semantic choice, not a sizing one.
   auto make_job = []() {
     core::BatchJob job;
     job.name = drivers::DriverName(DriverId::kRtl8029);
     job.image = &drivers::DriverImage(DriverId::kRtl8029);
     job.config = SmallConfig(DriverId::kRtl8029);
-    job.config.plan.threads = 0;  // defer to the batch's split
+    job.config.plan.threads = 0;  // defer to the batch's template
     std::string error;
     EXPECT_TRUE(hw::ParseFaultPlan("99:all=0.08", &job.config.plan.faults, &error)) << error;
     return job;
@@ -288,8 +273,8 @@ TEST(ParallelExercise, BatchTemplateInheritancePreservesJobFaultPlan) {
   ASSERT_TRUE(batch.AllOk());
   EXPECT_GT(batch.jobs[0].result.engine.fault_stats.TotalInjected(), 0u);
 
-  // And the bytes match the standalone spelling of the inherited shape:
-  // the job's faults with the template's thread split.
+  // And the bytes match the standalone spelling of the inherited plan:
+  // the job's faults with the template's lanes.
   core::EngineConfig cfg = SmallConfig(DriverId::kRtl8029);
   cfg.plan.threads = 2;
   std::string error;

@@ -353,14 +353,16 @@ TEST(Rdp1Robustness, FanoutPayloadsTruncateCleanly) {
   // The fanout work/result payload decoders sit behind the frame checksum
   // but must still reject truncation on their own (a handler bug or a
   // mixed-up payload must not read out of bounds).
-  std::vector<uint8_t> work =
-      core::SerializeFanoutWork({3, 1, 4}, std::vector<uint8_t>(64, 0xAB));
+  std::vector<uint8_t> work;
+  core::SerializeFanoutWorkInto(0, {3, 1, 4}, "", std::vector<uint8_t>(64, 0xAB), &work);
   for (size_t len = 0; len < work.size(); len += 3) {
+    uint32_t job;
     core::FanoutTask task;
+    std::string key;
     std::vector<uint8_t> snapshot;
     std::string error;
-    EXPECT_FALSE(core::DeserializeFanoutWork({work.begin(), work.begin() + len}, &task,
-                                             &snapshot, &error))
+    EXPECT_FALSE(core::DeserializeFanoutWork({work.begin(), work.begin() + len}, &job, &task,
+                                             &key, &snapshot, &error))
         << "len " << len;
     EXPECT_FALSE(error.empty());
   }
@@ -433,7 +435,7 @@ TEST(EngineRobustness, DriverForWrongDeviceFailsGracefully) {
   cfg.pci = hw::Rtl8139Config();  // wrong device for this driver
   cfg.max_work = 20'000;
   core::EngineResult r =
-      core::ReverseEngineer(drivers::DriverImage(drivers::DriverId::kRtl8029), cfg);
+      core::Engine(drivers::DriverImage(drivers::DriverId::kRtl8029), cfg).Run();
   // DriverEntry + the failing init path still produce coverage.
   EXPECT_GT(r.covered_blocks.size(), 0u);
   // The vendor-check failure path logs an error (unless skipped, it is the
@@ -449,7 +451,7 @@ TEST(EngineRobustness, GarbageImageDoesNotCrashEngine) {
   core::EngineConfig cfg;
   cfg.pci = hw::Rtl8029Config();
   cfg.max_work = 1'000;
-  core::EngineResult r = core::ReverseEngineer(garbage, cfg);
+  core::EngineResult r = core::Engine(garbage, cfg).Run();
   EXPECT_EQ(r.covered_blocks.size(), 0u);
 }
 
@@ -458,7 +460,7 @@ TEST(EngineRobustness, ZeroWorkBudget) {
   cfg.pci = hw::Rtl8029Config();
   cfg.max_work = 0;
   core::EngineResult r =
-      core::ReverseEngineer(drivers::DriverImage(drivers::DriverId::kRtl8029), cfg);
+      core::Engine(drivers::DriverImage(drivers::DriverId::kRtl8029), cfg).Run();
   EXPECT_EQ(r.stats.work, 0u);
 }
 

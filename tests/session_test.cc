@@ -338,10 +338,10 @@ TEST(Session, BatchOverRegistryMatchesSequentialRuns) {
   ASSERT_GE(jobs.size(), 4u);
 
   std::vector<std::string> done_names;
-  core::BatchResult batch = core::RunBatch(jobs, /*concurrency=*/2,
-                                           [&](const core::BatchJobResult& j) {
-                                             done_names.push_back(j.name);
-                                           });
+  core::BatchOptions options;
+  options.concurrency = 2;
+  options.on_job_done = [&](const core::BatchJobResult& j) { done_names.push_back(j.name); };
+  core::BatchResult batch = core::RunBatch(jobs, options);
   EXPECT_GE(batch.concurrency, 2u);
   ASSERT_TRUE(batch.AllOk());
   ASSERT_EQ(batch.jobs.size(), jobs.size());
@@ -358,9 +358,10 @@ TEST(Session, BatchOverRegistryMatchesSequentialRuns) {
 
     // Per-session isolation makes the concurrent run identical to a
     // sequential one.
-    core::PipelineResult seq = core::RunPipeline(*jobs[i].image, jobs[i].config);
-    EXPECT_EQ(job.result.c_source, seq.c_source) << job.name;
-    EXPECT_EQ(job.result.engine.covered_blocks, seq.engine.covered_blocks) << job.name;
+    core::Session seq(*jobs[i].image, jobs[i].config);
+    ASSERT_TRUE(seq.RunAll());
+    EXPECT_EQ(job.result.c_source, seq.c_source()) << job.name;
+    EXPECT_EQ(job.result.engine.covered_blocks, seq.engine().covered_blocks) << job.name;
   }
   EXPECT_EQ(batch.aggregate.solver_queries, aggregate_queries);
   EXPECT_GT(batch.aggregate.solver_cache_hits, 0u);
@@ -369,7 +370,9 @@ TEST(Session, BatchOverRegistryMatchesSequentialRuns) {
 TEST(Session, BatchReportsBadJob) {
   std::vector<core::BatchJob> jobs(1);
   jobs[0].name = "no-image";
-  core::BatchResult batch = core::RunBatch(jobs, 1);
+  core::BatchOptions options;
+  options.concurrency = 1;
+  core::BatchResult batch = core::RunBatch(jobs, options);
   ASSERT_EQ(batch.jobs.size(), 1u);
   EXPECT_FALSE(batch.jobs[0].ok);
   EXPECT_FALSE(batch.AllOk());
@@ -389,18 +392,6 @@ TEST(Registry, ListsAllDriversAndFindsByName) {
     EXPECT_EQ(found->id, t.id);
   }
   EXPECT_EQ(drivers::FindTarget("e1000"), nullptr);
-}
-
-// ---- legacy wrappers ----
-
-TEST(Session, LegacyRunPipelineMatchesSessionOutput) {
-  core::EngineConfig cfg = SmallConfig(DriverId::kSmc91c111);
-  core::PipelineResult legacy = core::RunPipeline(drivers::DriverImage(DriverId::kSmc91c111), cfg);
-  core::Session s(drivers::DriverImage(DriverId::kSmc91c111), cfg);
-  ASSERT_TRUE(s.RunAll());
-  EXPECT_EQ(legacy.c_source, s.c_source());
-  EXPECT_EQ(legacy.runtime_header, s.runtime_header());
-  EXPECT_EQ(legacy.engine.stats.work, s.engine().stats.work);
 }
 
 }  // namespace

@@ -1,16 +1,19 @@
-// Snapshot-handoff parallel exercising (PR 4 tentpole): the spine pass
-// serializes the chain state after each step ("RSS1" blobs) and fan-out
-// workers restore their start snapshot instead of replaying the spine
-// prefix. These tests pin the headline guarantee -- the merged result is
-// byte-identical (down to the "RCP1" checkpoint blob) across thread counts,
-// across the snapshot-restore and spine-replay strategies, and in lockstep
-// with the sequential engine's synthesized output -- plus the "RCP1" v2
-// embedded-snapshot round trip and the v1 backward-compat path.
+// Snapshot-handoff parallel exercising: the spine pass serializes the chain
+// state before each step ("RSS1" blobs) and fan-out tasks restore their
+// start snapshot instead of replaying the spine prefix. These tests pin the
+// headline guarantee -- a restored snapshot is bit-exact with a replayed
+// prefix, so the merged result is byte-identical to the prefix-replay
+// oracle (Engine::RunWithPrefixReplay) on every driver, clean and faulted,
+// and in lockstep with the sequential engine's synthesized output -- plus
+// the restore-failure fallback, the "RCP1" v2 embedded-snapshot round trip
+// and the v1 backward-compat path.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <vector>
 
+#include "core/engine.h"
+#include "core/fanout.h"
 #include "core/session.h"
 #include "drivers/drivers.h"
 #include "hw/faults.h"
@@ -33,39 +36,95 @@ core::EngineConfig SmallConfig(DriverId id, uint64_t max_work = 48'000) {
   return cfg;
 }
 
-// Full checkpoint blob (bundle + coverage + every counter + final snapshot):
-// byte-comparing two blobs compares two runs' complete observable output.
-std::vector<uint8_t> ExerciseBlob(DriverId id, unsigned threads, bool spine_replay) {
-  core::EngineConfig cfg = SmallConfig(id);
-  cfg.plan.threads = threads;
-  cfg.plan.fan_out = spine_replay ? core::FanOut::kSpineReplay : core::FanOut::kSnapshotRestore;
-  core::Session s(drivers::DriverImage(id), cfg);
-  EXPECT_TRUE(s.Exercise());
-  return s.SaveCheckpoint();
+// Every merge-relevant EngineResult field (the fan-out result encoding,
+// in RCP1 field order) plus the final snapshot: byte-comparing two of these
+// compares two runs' complete observable exercise output.
+std::vector<uint8_t> ResultBytes(const core::EngineResult& e) {
+  core::FanoutTaskResult wrapped;
+  core::FanoutSlot slot;
+  slot.begun = true;
+  slot.result = e;
+  wrapped.slots.push_back(std::move(slot));
+  std::vector<uint8_t> bytes = core::SerializeFanoutResult(wrapped);
+  bytes.insert(bytes.end(), e.final_snapshot.begin(), e.final_snapshot.end());
+  return bytes;
 }
 
-// ---- the acceptance criterion: snapshot-restore == spine-replay ==
-// thread-count independent, pinned to the checkpoint byte, on all four
-// drivers ----
+core::EngineConfig ParallelConfig(DriverId id, const char* faults) {
+  core::EngineConfig cfg = SmallConfig(id);
+  cfg.plan.threads = 4;
+  if (faults != nullptr) {
+    std::string error;
+    EXPECT_TRUE(hw::ParseFaultPlan(faults, &cfg.plan.faults, &error)) << error;
+  }
+  return cfg;
+}
 
-TEST(SnapshotHandoff, ByteIdenticalToSpineReplayOnAllDrivers) {
+// ---- the acceptance criterion: snapshot restore == prefix replay, pinned
+// to the byte on all five drivers, clean and faulted ----
+
+TEST(SnapshotHandoff, ByteIdenticalToPrefixReplayOnAllDrivers) {
+  // The fault cursor rides in the RSS1 engine section, so a restored task
+  // resumes the schedule exactly where a replaying one lands. rtl8029 is
+  // PIO-only; pcnet is a bus master, so its DMA path runs through the
+  // fault schedule too.
   for (DriverId id : kAllDrivers) {
-    std::vector<uint8_t> restore2 = ExerciseBlob(id, 2, /*spine_replay=*/false);
-    std::vector<uint8_t> restore4 = ExerciseBlob(id, 4, /*spine_replay=*/false);
-    std::vector<uint8_t> replay4 = ExerciseBlob(id, 4, /*spine_replay=*/true);
-    ASSERT_FALSE(restore2.empty()) << drivers::DriverName(id);
-    // Thread-count independence under snapshot handoff.
-    EXPECT_EQ(restore2, restore4) << drivers::DriverName(id);
-    // Strategy independence: a restored snapshot is bit-exact with a
-    // replayed prefix, so the merged results cannot differ.
-    EXPECT_EQ(restore4, replay4) << drivers::DriverName(id);
+    std::vector<uint8_t> clean;
+    for (const char* faults : {(const char*)nullptr, "99:all=0.08"}) {
+      const std::string what =
+          std::string(drivers::DriverName(id)) + (faults != nullptr ? " faulted" : " clean");
+      const core::EngineConfig cfg = ParallelConfig(id, faults);
+      core::EngineResult restored = core::Engine(drivers::DriverImage(id), cfg).Run();
+      core::EngineResult replayed =
+          core::Engine(drivers::DriverImage(id), cfg).RunWithPrefixReplay();
+      // Restore really ran (no silent fallback), and the oracle really
+      // replayed.
+      EXPECT_EQ(restored.snapshot_restore_failures, 0u) << what;
+      EXPECT_EQ(restored.parallel.replayed_prefix_work, 0u) << what;
+      EXPECT_GT(replayed.parallel.replayed_prefix_work, 0u) << what;
+      std::vector<uint8_t> bytes = ResultBytes(restored);
+      EXPECT_EQ(bytes, ResultBytes(replayed)) << what;
+      if (faults == nullptr) {
+        clean = std::move(bytes);
+      } else {
+        // The plan is part of the run, and the schedule actually fired.
+        EXPECT_GT(restored.fault_stats.TotalInjected(), 0u) << what;
+        EXPECT_NE(bytes, clean) << what;
+      }
+    }
   }
 }
 
+TEST(SnapshotHandoff, RestoreFailureFallsBackToPrefixReplay) {
+  // A task whose RSS1 blob does not restore counts one restore failure and
+  // replays the spine prefix instead; a task handed no blob replays without
+  // trying. Either way it produces the same segment.
+  const DriverId id = DriverId::kRtl8029;
+  core::Session s(drivers::DriverImage(id), SmallConfig(id, 20'000));
+  ASSERT_TRUE(s.Exercise());
+  std::vector<uint8_t> truncated = s.engine().final_snapshot;
+  ASSERT_GT(truncated.size(), 64u);
+  truncated.resize(truncated.size() / 2);
+
+  const core::EngineConfig cfg = ParallelConfig(id, nullptr);
+  const core::FanoutTask task{2, 0, 0};
+  core::FanoutTaskResult failed =
+      core::Engine::ExecuteFanoutTask(drivers::DriverImage(id), cfg, task, truncated);
+  core::FanoutTaskResult replayed =
+      core::Engine::ExecuteFanoutTask(drivers::DriverImage(id), cfg, task, {});
+  EXPECT_EQ(failed.restore_failures, 1u);
+  EXPECT_EQ(replayed.restore_failures, 0u);
+  EXPECT_GT(replayed.replayed_work, 0u);
+  ASSERT_EQ(failed.slots.size(), 1u);
+  EXPECT_TRUE(failed.slots[0].begun);
+  // Beyond the counter asserted above, the two results are the same bytes.
+  failed.restore_failures = 0;
+  EXPECT_EQ(core::SerializeFanoutResult(failed), core::SerializeFanoutResult(replayed));
+}
+
 TEST(SnapshotHandoff, DownstreamSynthesisMatchesSequential) {
-  // Completes the all-four-driver sequential-parity matrix:
-  // tests/parallel_exercise_test.cc covers rtl8029 + smc91c111 (with the
-  // default, snapshot-restore strategy); this covers the other two.
+  // Extends the sequential-parity matrix: tests/parallel_exercise_test.cc
+  // covers rtl8029 + smc91c111; this covers rtl8139 + pcnet.
   for (DriverId id : {DriverId::kRtl8139, DriverId::kPcnet}) {
     core::Session seq(drivers::DriverImage(id), SmallConfig(id));
     ASSERT_TRUE(seq.Synthesize());
@@ -78,44 +137,10 @@ TEST(SnapshotHandoff, DownstreamSynthesisMatchesSequential) {
     EXPECT_NEAR(par.engine().CoveragePercent(), seq.engine().CoveragePercent(), 0.5)
         << drivers::DriverName(id);
     EXPECT_EQ(par.c_source(), seq.c_source()) << drivers::DriverName(id);
-    // Every worker must have restored its snapshot: a silent fallback to
+    // Every task must have restored its snapshot: a silent fallback to
     // prefix replay keeps all byte-parity green while reverting the O(S)
     // spine guarantee, so the fallback counter is pinned to zero.
     EXPECT_EQ(par.engine().snapshot_restore_failures, 0u) << drivers::DriverName(id);
-  }
-}
-
-// ---- fault injection under fan-out: the determinism guarantee survives a
-// misbehaving device ----
-
-std::vector<uint8_t> FaultedBlob(DriverId id, unsigned threads, bool spine_replay) {
-  core::EngineConfig cfg = SmallConfig(id);
-  std::string error;
-  EXPECT_TRUE(hw::ParseFaultPlan("99:all=0.08", &cfg.plan.faults, &error)) << error;
-  cfg.plan.threads = threads;
-  cfg.plan.fan_out = spine_replay ? core::FanOut::kSpineReplay : core::FanOut::kSnapshotRestore;
-  core::Session s(drivers::DriverImage(id), cfg);
-  EXPECT_TRUE(s.Exercise());
-  return s.SaveCheckpoint();
-}
-
-TEST(SnapshotHandoff, FaultedExerciseStaysByteIdenticalAcrossFanOutModes) {
-  // The fault cursor rides in the RSS1 engine section, so a restored worker
-  // resumes the schedule exactly where a replaying worker lands: with faults
-  // on, thread counts and both fan-out strategies still agree to the
-  // checkpoint byte. rtl8029 is PIO-only; pcnet is a bus master, so its DMA
-  // path runs through the fault schedule too.
-  for (DriverId id : {DriverId::kRtl8029, DriverId::kPcnet}) {
-    std::vector<uint8_t> restore2 = FaultedBlob(id, 2, /*spine_replay=*/false);
-    std::vector<uint8_t> restore4 = FaultedBlob(id, 4, /*spine_replay=*/false);
-    std::vector<uint8_t> replay4 = FaultedBlob(id, 4, /*spine_replay=*/true);
-    ASSERT_FALSE(restore2.empty()) << drivers::DriverName(id);
-    EXPECT_EQ(restore2, restore4) << drivers::DriverName(id);
-    EXPECT_EQ(restore4, replay4) << drivers::DriverName(id);
-    // The faulted blob differs from the fault-free one (the plan is part of
-    // the run, and the schedule actually fired).
-    EXPECT_NE(restore4, ExerciseBlob(id, 4, /*spine_replay=*/false))
-        << drivers::DriverName(id);
   }
 }
 

@@ -1,18 +1,13 @@
-// Concurrency primitives under src/symex: the shared coverage map (atomic
-// bitset the parallel exercise stage publishes into) and the MPMC work queue
-// (task scheduling + O(1) handoff of forked ExecutionStates).
+// Concurrency primitives under src/symex: the shared coverage map (the
+// atomic bitset the parallel exercise stage publishes into).
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <atomic>
 #include <set>
 #include <thread>
 #include <vector>
 
 #include "symex/coverage.h"
-#include "symex/expr.h"
-#include "symex/state.h"
-#include "symex/workqueue.h"
-#include "vm/memmap.h"
 
 namespace revnic::symex {
 namespace {
@@ -70,101 +65,6 @@ TEST(SharedCoverageMap, ConcurrentMarkingCountsEachBlockOnce) {
   std::set<uint32_t> snapshot;
   map.SnapshotInto(&snapshot);
   EXPECT_EQ(snapshot, universe);
-}
-
-// ---- WorkQueue ----
-
-TEST(WorkQueue, FifoOrderAndCloseDrainSemantics) {
-  WorkQueue<int> q;
-  EXPECT_TRUE(q.Push(1));
-  EXPECT_TRUE(q.Push(2));
-  EXPECT_TRUE(q.Push(3));
-  EXPECT_EQ(q.size(), 3u);
-  EXPECT_EQ(q.total_pushed(), 3u);
-
-  int v = 0;
-  EXPECT_TRUE(q.TryPop(&v));
-  EXPECT_EQ(v, 1);
-  q.Close();
-  EXPECT_FALSE(q.Push(4));  // closed queues refuse work
-  // Closed-but-nonempty queues drain...
-  EXPECT_TRUE(q.PopBlocking(&v));
-  EXPECT_EQ(v, 2);
-  EXPECT_TRUE(q.PopBlocking(&v));
-  EXPECT_EQ(v, 3);
-  // ...then report shutdown.
-  EXPECT_FALSE(q.PopBlocking(&v));
-  EXPECT_FALSE(q.TryPop(&v));
-}
-
-TEST(WorkQueue, ManyProducersManyConsumersDeliverEverythingOnce) {
-  WorkQueue<int> q;
-  constexpr int kProducers = 4;
-  constexpr int kConsumers = 4;
-  constexpr int kPerProducer = 2000;
-
-  std::vector<std::thread> threads;
-  std::atomic<long long> sum{0};
-  std::atomic<int> popped{0};
-  for (int c = 0; c < kConsumers; ++c) {
-    threads.emplace_back([&] {
-      int v;
-      while (q.PopBlocking(&v)) {
-        sum.fetch_add(v);
-        popped.fetch_add(1);
-      }
-    });
-  }
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&q, p] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        q.Push(p * kPerProducer + i + 1);
-      }
-    });
-  }
-  for (std::thread& t : producers) {
-    t.join();
-  }
-  q.Close();
-  for (std::thread& t : threads) {
-    t.join();
-  }
-  const long long n = kProducers * kPerProducer;
-  EXPECT_EQ(popped.load(), n);
-  EXPECT_EQ(sum.load(), n * (n + 1) / 2);
-  EXPECT_EQ(q.total_pushed(), static_cast<uint64_t>(n));
-}
-
-TEST(WorkQueue, HandsOffForkedStatesWithoutCopying) {
-  // The parallel exerciser's state handoff: a forked ExecutionState moves
-  // through the queue as a unique_ptr -- the pointer observed on the far
-  // side is the one pushed (no deep copy, no reconstruction).
-  ExprContext ctx;
-  vm::MemoryMap mm(4096);
-  ExecutionState root(1, &ctx, &mm);
-  root.set_pc(0x42);
-  root.AddConstraint(ctx.Eq(ctx.Sym("hw", 32), ctx.Const(7)));
-
-  WorkQueue<std::unique_ptr<ExecutionState>> q;
-  std::unique_ptr<ExecutionState> fork = root.Fork(2);
-  ExecutionState* raw = fork.get();
-  EXPECT_TRUE(q.Push(std::move(fork)));
-
-  std::unique_ptr<ExecutionState> received;
-  std::thread consumer([&q, &received] {
-    std::unique_ptr<ExecutionState> item;
-    if (q.PopBlocking(&item)) {
-      received = std::move(item);
-    }
-  });
-  q.Close();
-  consumer.join();
-  ASSERT_NE(received, nullptr);
-  EXPECT_EQ(received.get(), raw);
-  EXPECT_EQ(received->id(), 2u);
-  EXPECT_EQ(received->pc(), 0x42u);
-  EXPECT_EQ(received->constraints().size(), 1u);
 }
 
 }  // namespace

@@ -162,8 +162,8 @@ TEST(Analysis, LivenessKeepsTerminatorCondTemp) {
 // ---- cleanup passes on hand-built modules ----
 
 // A context over a hand-built bundle: entry block at 0x400000. The caller
-// populates the bundle's blocks; recovery runs via BuildModule semantics
-// (RunSynthesisPipeline without cleanup).
+// populates the bundle's blocks; recovery runs as RunSynthesisPipeline
+// without cleanup.
 struct Fixture {
   trace::TraceBundle bundle;
   std::vector<os::EntryPoint> entries;
