@@ -8,6 +8,7 @@
 
 #include "core/fanout.h"
 #include "core/fleet.h"
+#include "core/result_codec.h"
 #include "dist/coordinator.h"
 #include "isa/isa.h"
 #include "symex/coverage.h"
@@ -745,20 +746,9 @@ struct Engine::Impl {
     e.U64(event_seq);
     e.U64(executor.seq());
     e.U64(rng.state());
-    const EngineStats& es = stats;
-    for (uint64_t v : {es.work, es.states_created, es.states_killed_polling,
-                       es.states_killed_error, es.entry_completions, es.irqs_injected,
-                       es.api_calls, es.api_skipped}) {
-      e.U64(v);
-    }
-    auto put_u32_set = [&e](const std::set<uint32_t>& s) {
-      e.U32(static_cast<uint32_t>(s.size()));
-      for (uint32_t v : s) {
-        e.U32(v);
-      }
-    };
-    put_u32_set(covered);
-    put_u32_set(apis_used);
+    e.U64Fields(stats);
+    e.U32Set(covered);
+    e.U32Set(apis_used);
     std::vector<uint32_t> warm_pcs = dbt.CachedPcs();
     e.U32(static_cast<uint32_t>(warm_pcs.size()));
     for (uint32_t pc : warm_pcs) {
@@ -782,12 +772,7 @@ struct Engine::Impl {
     e.U32(ws.adapter_context);
     e.U32(ws.heap_next);
     e.U32(ws.dma_next);
-    e.U32(static_cast<uint32_t>(ws.entries.size()));
-    for (const os::EntryPoint& ep : ws.entries) {
-      e.U8(static_cast<uint8_t>(ep.role));
-      e.U32(ep.pc);
-      e.U32(ep.timer_context);
-    }
+    EncodeEntries(ws.entries, &e);
     e.U32(static_cast<uint32_t>(ws.timers.size()));
     for (const os::Timer& t : ws.timers) {
       e.U32(t.handler_pc);
@@ -799,11 +784,7 @@ struct Engine::Impl {
       e.U32(key);
       e.U32(value);
     }
-    const os::WinSimCounters& wc = ws.counters;
-    for (uint64_t v : {wc.rx_indicated, wc.send_completes, wc.error_logs,
-                       wc.status_indications, wc.stall_micros, wc.bytes_moved}) {
-      e.U64(v);
-    }
+    e.U64Fields(ws.counters);
     e.U32(static_cast<uint32_t>(ws.rx_delivered.size()));
     for (const hw::Frame& f : ws.rx_delivered) {
       e.U32(static_cast<uint32_t>(f.size()));
@@ -819,12 +800,7 @@ struct Engine::Impl {
     // decision, so a restored chain resumes mid-schedule exactly where the
     // spine left it (same contract as the shell's symbol serial above).
     e.U64(faults.cursor());
-    const hw::FaultStats& fs = faults.stats();
-    for (uint64_t v : {fs.decisions, fs.irq_dropped, fs.irq_duplicated, fs.irq_delayed,
-                       fs.dma_read_stalls, fs.dma_write_drops, fs.bus_errors,
-                       fs.reg_corruptions, fs.frames_truncated, fs.frames_oversized}) {
-      e.U64(v);
-    }
+    e.U64Fields(faults.stats());
 
     return w.Finish(ctx);
   }
@@ -862,28 +838,10 @@ struct Engine::Impl {
     }
     executor.set_seq(executor_seq);
     rng.set_state(rng_state);
-    for (uint64_t* v : {&stats.work, &stats.states_created, &stats.states_killed_polling,
-                        &stats.states_killed_error, &stats.entry_completions,
-                        &stats.irqs_injected, &stats.api_calls, &stats.api_skipped}) {
-      if (!e.U64(v)) {
-        return fail("truncated engine stats");
-      }
+    if (!e.U64Fields(&stats)) {
+      return fail("truncated engine stats");
     }
-    auto get_u32_set = [&e](std::set<uint32_t>* s) {
-      uint32_t n;
-      if (!e.U32(&n) || n > e.remaining() / 4) {
-        return false;
-      }
-      for (uint32_t k = 0; k < n; ++k) {
-        uint32_t v;
-        if (!e.U32(&v)) {
-          return false;
-        }
-        s->insert(v);
-      }
-      return true;
-    };
-    if (!get_u32_set(&covered) || !get_u32_set(&apis_used)) {
+    if (!e.U32Set(&covered) || !e.U32Set(&apis_used)) {
       return fail("truncated coverage sets");
     }
     uint32_t n;
@@ -935,17 +893,8 @@ struct Engine::Impl {
       return fail("truncated winsim header");
     }
     ws.registered = registered != 0;
-    if (!e.U32(&n) || n > e.remaining() / 9) {
-      return fail("implausible entry count");
-    }
-    ws.entries.resize(n);
-    for (os::EntryPoint& ep : ws.entries) {
-      uint8_t role;
-      if (!e.U8(&role) || role > static_cast<uint8_t>(os::EntryRole::kTimer) ||
-          !e.U32(&ep.pc) || !e.U32(&ep.timer_context)) {
-        return fail("bad winsim entry point");
-      }
-      ep.role = static_cast<os::EntryRole>(role);
+    if (!DecodeEntries(&e, &ws.entries)) {
+      return fail("bad winsim entry table");
     }
     if (!e.U32(&n) || n > e.remaining() / 9) {
       return fail("implausible timer count");
@@ -968,12 +917,8 @@ struct Engine::Impl {
       }
       ws.config[key] = value;
     }
-    for (uint64_t* v : {&ws.counters.rx_indicated, &ws.counters.send_completes,
-                        &ws.counters.error_logs, &ws.counters.status_indications,
-                        &ws.counters.stall_micros, &ws.counters.bytes_moved}) {
-      if (!e.U64(v)) {
-        return fail("truncated winsim counters");
-      }
+    if (!e.U64Fields(&ws.counters)) {
+      return fail("truncated winsim counters");
     }
     if (!e.U32(&n) || n > e.remaining() / 4) {
       return fail("implausible rx frame count");
@@ -1008,12 +953,8 @@ struct Engine::Impl {
     if (!e.U64(&fault_cursor)) {
       return fail("truncated fault cursor");
     }
-    for (uint64_t* v : {&fs.decisions, &fs.irq_dropped, &fs.irq_duplicated, &fs.irq_delayed,
-                        &fs.dma_read_stalls, &fs.dma_write_drops, &fs.bus_errors,
-                        &fs.reg_corruptions, &fs.frames_truncated, &fs.frames_oversized}) {
-      if (!e.U64(v)) {
-        return fail("truncated fault stats");
-      }
+    if (!e.U64Fields(&fs)) {
+      return fail("truncated fault stats");
     }
     faults.set_cursor(fault_cursor);
     faults.set_stats(fs);

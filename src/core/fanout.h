@@ -4,10 +4,10 @@
 // sub-shard) pair. Fleet lanes and the forked dist workers run the exact
 // same task entry point (core::Engine's RunFanoutTask) on the same
 // inputs; this header defines the task/result structs and the byte encodings
-// that carry them across the RDP1 socket (src/dist/wire.h). The result
-// encoding round-trips every EngineResult field the canonical merge and the
-// diagnostics consume, so a segment computed in a worker process merges to
-// the same bytes as one computed in-process.
+// that carry them across the RDP1 socket (src/dist/wire.h). Each result
+// slot goes through the checkpoint codec (core/result_codec.h), so a
+// segment computed in a worker process merges to the same bytes as one
+// computed in-process.
 #ifndef REVNIC_CORE_FANOUT_H_
 #define REVNIC_CORE_FANOUT_H_
 
@@ -73,10 +73,10 @@ bool DeserializeFanoutWork(const std::vector<uint8_t>& bytes, uint32_t* job, Fan
                            std::string* context_key, std::vector<uint8_t>* snapshot,
                            std::string* error);
 
-// Result payload: every slot's merge-relevant EngineResult fields (bundle,
-// coverage, timeline, counter blocks, entries, call counts, apis, fault
-// stats) in the RCP1 field order -- final_snapshot and the runtime-only
-// diagnostics are deliberately not carried.
+// Result payload ("FWR2"): the task counters, then per slot its ordinal, the
+// begun flag and, when begun, the EngineResult body of core/result_codec.h
+// (exactly what an RCP1 v3 checkpoint carries; the runtime-only
+// diagnostics are not).
 std::vector<uint8_t> SerializeFanoutResult(const FanoutTaskResult& result);
 bool DeserializeFanoutResult(const std::vector<uint8_t>& bytes, FanoutTaskResult* out,
                              std::string* error);

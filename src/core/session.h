@@ -134,11 +134,12 @@ class Session {
   // returns an empty blob (which LoadCheckpoint rejects) and
   // SaveCheckpointFile() fails with an error.
   //
-  // Format "RCP1" version 2: version 1 (PR 2) plus an optional trailing
-  // snapshot section carrying the engine's final chain state (the "RSS1"
-  // blob from EngineResult::final_snapshot). The loader accepts both
-  // versions; pass `legacy_v1 = true` to emit the exact version-1 byte
-  // stream (no snapshot section) for consumers pinned to the old format.
+  // Format "RCP1" version 3: magic, version, label, then the EngineResult
+  // body of core/result_codec.h, which ends in an optional snapshot section
+  // carrying the engine's final chain state (the "RSS1" blob from
+  // EngineResult::final_snapshot). The loader accepts versions 1 through 3;
+  // pass `legacy_v1 = true` to emit the exact version-1 byte stream (no
+  // fault counters, no snapshot section) for consumers pinned to it.
   std::vector<uint8_t> SaveCheckpoint(bool legacy_v1 = false) const;
   bool SaveCheckpointFile(const std::string& path, std::string* error) const;
   // A fresh Session at Stage::kExercised, reconstructed from a checkpoint.

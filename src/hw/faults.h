@@ -29,11 +29,13 @@
 #ifndef REVNIC_HW_FAULTS_H_
 #define REVNIC_HW_FAULTS_H_
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
 
 #include "hw/nic.h"
+#include "util/fields.h"
 #include "vm/memmap.h"
 
 namespace revnic::hw {
@@ -97,41 +99,28 @@ struct FaultStats {
   uint64_t frames_truncated = 0;
   uint64_t frames_oversized = 0;
 
+  static constexpr std::array<uint64_t FaultStats::*, 10> kFields = {
+      &FaultStats::decisions,        &FaultStats::irq_dropped,
+      &FaultStats::irq_duplicated,   &FaultStats::irq_delayed,
+      &FaultStats::dma_read_stalls,  &FaultStats::dma_write_drops,
+      &FaultStats::bus_errors,       &FaultStats::reg_corruptions,
+      &FaultStats::frames_truncated, &FaultStats::frames_oversized};
+
+  // Every counter but `decisions` is one injected fault.
   uint64_t TotalInjected() const {
-    return irq_dropped + irq_duplicated + irq_delayed + dma_read_stalls + dma_write_drops +
-           bus_errors + reg_corruptions + frames_truncated + frames_oversized;
+    uint64_t total = 0;
+    for (auto field : kFields) {
+      total += this->*field;
+    }
+    return total - decisions;
   }
 
   // Segment arithmetic for the parallel merge, same contract as EngineStats:
-  // += sums a segment in, -= rebases against a BeginSegment mark. Keep both
-  // in sync with the field list.
-  FaultStats& operator+=(const FaultStats& o) {
-    decisions += o.decisions;
-    irq_dropped += o.irq_dropped;
-    irq_duplicated += o.irq_duplicated;
-    irq_delayed += o.irq_delayed;
-    dma_read_stalls += o.dma_read_stalls;
-    dma_write_drops += o.dma_write_drops;
-    bus_errors += o.bus_errors;
-    reg_corruptions += o.reg_corruptions;
-    frames_truncated += o.frames_truncated;
-    frames_oversized += o.frames_oversized;
-    return *this;
-  }
-  FaultStats& operator-=(const FaultStats& o) {
-    decisions -= o.decisions;
-    irq_dropped -= o.irq_dropped;
-    irq_duplicated -= o.irq_duplicated;
-    irq_delayed -= o.irq_delayed;
-    dma_read_stalls -= o.dma_read_stalls;
-    dma_write_drops -= o.dma_write_drops;
-    bus_errors -= o.bus_errors;
-    reg_corruptions -= o.reg_corruptions;
-    frames_truncated -= o.frames_truncated;
-    frames_oversized -= o.frames_oversized;
-    return *this;
-  }
+  // += sums a segment in, -= rebases against a BeginSegment mark.
+  FaultStats& operator+=(const FaultStats& o) { return AddFields(*this, o); }
+  FaultStats& operator-=(const FaultStats& o) { return SubtractFields(*this, o); }
 };
+static_assert(ListsEveryField<FaultStats>());
 
 // One-line human-readable rendering (CLI reports, REVNIC_PARALLEL_STATS).
 std::string FormatFaultStats(const FaultStats& stats);

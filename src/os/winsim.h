@@ -14,6 +14,7 @@
 #ifndef REVNIC_OS_WINSIM_H_
 #define REVNIC_OS_WINSIM_H_
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -25,6 +26,7 @@
 #include "hw/pci.h"
 #include "isa/image.h"
 #include "os/api.h"
+#include "util/fields.h"
 #include "vm/memmap.h"
 
 namespace revnic::os {
@@ -93,7 +95,13 @@ struct WinSimCounters {
   uint64_t status_indications = 0;
   uint64_t stall_micros = 0;
   uint64_t bytes_moved = 0;  // NdisMoveMemory/NdisZeroMemory traffic
+
+  static constexpr std::array<uint64_t WinSimCounters::*, 6> kFields = {
+      &WinSimCounters::rx_indicated, &WinSimCounters::send_completes,
+      &WinSimCounters::error_logs,   &WinSimCounters::status_indications,
+      &WinSimCounters::stall_micros, &WinSimCounters::bytes_moved};
 };
+static_assert(ListsEveryField<WinSimCounters>());
 
 class WinSim {
  public:

@@ -9,6 +9,17 @@ namespace {
 
 constexpr uint32_t kTraceMagic = 0x31435254;  // "TRC1"
 
+// Smallest serialized size of each counted item. A count the unread bytes
+// cannot hold is rejected before anything is allocated, so a corrupt count
+// fails cleanly instead of reserving gigabytes.
+constexpr size_t kInstrBytes = 3 + 5 * 4;
+constexpr size_t kBlockBytes = 1 + 7 * 4;
+constexpr size_t kSnapshotBytes = (kNumRegs + 1) * 4;
+constexpr size_t kBlockRecordBytes = 8 + 8 + 4 + 1 + 4 + 2 * kSnapshotBytes;
+constexpr size_t kMemRecordBytes = 8 + 8 + 4 + 4 * 1 + 4 + 4;
+constexpr size_t kApiRecordBytes = 8 + 8 + 4 + 4 + 4 + 4 + 1;  // no args
+constexpr size_t kEventBytes = 8 + 8 + 1 + 4 + 4;                // empty detail
+
 void PutInstr(ByteWriter& w, const ir::Instr& i) {
   w.U8(static_cast<uint8_t>(i.op));
   w.U8(i.size);
@@ -144,23 +155,28 @@ bool DeserializeFrom(ByteReader* rp, TraceBundle* out, std::string* error) {
     return fail("truncated header");
   }
 
+  // Reads a count of items at least `item_bytes` long each.
+  auto count = [&r](size_t item_bytes, uint32_t* n) {
+    return r.U32(n) && *n <= r.remaining() / item_bytes;
+  };
   uint32_t n;
-  if (!r.U32(&n)) {
-    return fail("truncated block table");
+  if (!count(kBlockBytes, &n)) {
+    return fail("bad block table");
   }
   for (uint32_t k = 0; k < n; ++k) {
-    uint32_t pc, cond, temps, count;
+    uint32_t pc, cond, temps, instrs;
     ir::Block block;
     uint8_t term;
     if (!r.U32(&pc) || !r.U32(&block.guest_size) || !r.U8(&term) || !r.U32(&block.target) ||
-        !r.U32(&block.fallthrough) || !r.U32(&cond) || !r.U32(&temps) || !r.U32(&count)) {
+        !r.U32(&block.fallthrough) || !r.U32(&cond) || !r.U32(&temps) ||
+        !count(kInstrBytes, &instrs)) {
       return fail("truncated block");
     }
     block.guest_pc = pc;
     block.term = static_cast<ir::Term>(term);
     block.cond_tmp = static_cast<int32_t>(cond);
     block.num_temps = static_cast<int32_t>(temps);
-    block.instrs.resize(count);
+    block.instrs.resize(instrs);
     for (ir::Instr& i : block.instrs) {
       if (!GetInstr(r, &i)) {
         return fail("truncated instr");
@@ -169,8 +185,8 @@ bool DeserializeFrom(ByteReader* rp, TraceBundle* out, std::string* error) {
     b.blocks.emplace(pc, std::move(block));
   }
 
-  if (!r.U32(&n)) {
-    return fail("truncated block records");
+  if (!count(kBlockRecordBytes, &n)) {
+    return fail("bad block record count");
   }
   b.block_records.resize(n);
   for (BlockRecord& rec : b.block_records) {
@@ -182,8 +198,8 @@ bool DeserializeFrom(ByteReader* rp, TraceBundle* out, std::string* error) {
     rec.term = static_cast<ir::Term>(term);
   }
 
-  if (!r.U32(&n)) {
-    return fail("truncated mem records");
+  if (!count(kMemRecordBytes, &n)) {
+    return fail("bad mem record count");
   }
   b.mem_records.resize(n);
   for (MemRecord& rec : b.mem_records) {
@@ -197,14 +213,14 @@ bool DeserializeFrom(ByteReader* rp, TraceBundle* out, std::string* error) {
     rec.value_symbolic = s8 != 0;
   }
 
-  if (!r.U32(&n)) {
-    return fail("truncated api records");
+  if (!count(kApiRecordBytes, &n)) {
+    return fail("bad api record count");
   }
   b.api_records.resize(n);
   for (ApiRecord& rec : b.api_records) {
     uint32_t argc;
     if (!r.U64(&rec.state_id) || !r.U64(&rec.seq) || !r.U32(&rec.pc) || !r.U32(&rec.api_id) ||
-        !r.U32(&argc)) {
+        !count(4, &argc)) {
       return fail("truncated api record");
     }
     rec.args.resize(argc);
@@ -220,8 +236,8 @@ bool DeserializeFrom(ByteReader* rp, TraceBundle* out, std::string* error) {
     rec.skipped = skipped != 0;
   }
 
-  if (!r.U32(&n)) {
-    return fail("truncated events");
+  if (!count(kEventBytes, &n)) {
+    return fail("bad event count");
   }
   b.events.resize(n);
   for (EventRecord& rec : b.events) {

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -19,6 +20,11 @@ namespace revnic::trace {
 // containers that embed a bundle (core checkpoints).
 class ByteWriter {
  public:
+  ByteWriter() = default;
+  // Appends into a caller's buffer, cleared but with its capacity kept, so
+  // a hot path can hand the same storage back and forth through Take().
+  explicit ByteWriter(std::vector<uint8_t>&& reuse) : buf_(std::move(reuse)) { buf_.clear(); }
+
   void U8(uint8_t v) { buf_.push_back(v); }
   void U32(uint32_t v) {
     size_t n = buf_.size();
@@ -38,6 +44,21 @@ class ByteWriter {
   void Raw(const void* data, size_t n) {
     const uint8_t* p = static_cast<const uint8_t*>(data);
     buf_.insert(buf_.end(), p, p + n);
+  }
+  // Count-prefixed ascending set.
+  void U32Set(const std::set<uint32_t>& s) {
+    U32(static_cast<uint32_t>(s.size()));
+    for (uint32_t v : s) {
+      U32(v);
+    }
+  }
+  // Every counter of a struct that lists its fields as `T::kFields` (see
+  // util/fields.h), in list order.
+  template <typename T>
+  void U64Fields(const T& s) {
+    for (auto field : T::kFields) {
+      U64(s.*field);
+    }
   }
   size_t size() const { return buf_.size(); }
   std::vector<uint8_t> Take() { return std::move(buf_); }
@@ -80,6 +101,31 @@ class ByteReader {
     }
     s->assign(reinterpret_cast<const char*>(buf_.data() + pos_), n);
     pos_ += n;
+    return true;
+  }
+  // Inserts into *s; a count the unread bytes cannot hold is rejected up
+  // front instead of looping on garbage.
+  bool U32Set(std::set<uint32_t>* s) {
+    uint32_t n;
+    if (!U32(&n) || n > remaining() / 4) {
+      return false;
+    }
+    for (uint32_t k = 0; k < n; ++k) {
+      uint32_t v;
+      if (!U32(&v)) {
+        return false;
+      }
+      s->insert(v);
+    }
+    return true;
+  }
+  template <typename T>
+  bool U64Fields(T* s) {
+    for (auto field : T::kFields) {
+      if (!U64(&(s->*field))) {
+        return false;
+      }
+    }
     return true;
   }
   bool Raw(void* out, size_t n) {

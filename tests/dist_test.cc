@@ -12,6 +12,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstring>
 #include <string>
 #include <thread>
 
@@ -188,6 +189,54 @@ TEST(FanoutPayloads, ResultRoundTripCarriesCountersAndSlots) {
   EXPECT_FALSE(out.slots[0].begun);
   bytes.push_back(0);  // trailing garbage must be rejected
   EXPECT_FALSE(core::DeserializeFanoutResult(bytes, &out, &error));
+}
+
+template <typename T>
+void ExpectFieldsEqual(const T& a, const T& b, const char* what) {
+  for (size_t i = 0; i < T::kFields.size(); ++i) {
+    EXPECT_EQ(a.*T::kFields[i], b.*T::kFields[i]) << what << " field " << i;
+  }
+}
+
+TEST(FanoutPayloads, BegunSegmentRoundTripsByteIdentical) {
+  // A real segment, not just slot framing: rtl8029's second step handed no
+  // snapshot, so the task replays the spine prefix; the fault plan keeps
+  // the fault counters live.
+  const DriverId id = DriverId::kRtl8029;
+  core::EngineConfig cfg;
+  cfg.pci = drivers::DriverPci(id);
+  cfg.max_work = 6'000;
+  cfg.max_work_per_step = 1'500;
+  std::string error;
+  ASSERT_TRUE(hw::ParseFaultPlan("5:all=0.05", &cfg.plan.faults, &error)) << error;
+  core::FanoutTaskResult r =
+      core::Engine::ExecuteFanoutTask(drivers::DriverImage(id), cfg, {1, 0, 0}, {});
+  ASSERT_EQ(r.slots.size(), 1u);
+  ASSERT_TRUE(r.slots[0].begun);
+  const core::EngineResult& in = r.slots[0].result;
+  ASSERT_FALSE(in.bundle.block_records.empty());
+  ASSERT_GT(in.fault_stats.decisions, 0u);
+
+  std::vector<uint8_t> bytes = core::SerializeFanoutResult(r);
+  core::FanoutTaskResult out;
+  ASSERT_TRUE(core::DeserializeFanoutResult(bytes, &out, &error)) << error;
+  EXPECT_EQ(core::SerializeFanoutResult(out), bytes);
+  ASSERT_EQ(out.slots.size(), 1u);
+  EXPECT_TRUE(out.slots[0].begun);
+  const core::EngineResult& back = out.slots[0].result;
+  ExpectFieldsEqual(in.stats, back.stats, "engine");
+  ExpectFieldsEqual(in.solver_stats, back.solver_stats, "solver");
+  ExpectFieldsEqual(in.executor_stats, back.executor_stats, "executor");
+  ExpectFieldsEqual(in.fault_stats, back.fault_stats, "fault");
+  // Every substrate counter, the two derived from FaultStats included.
+  EXPECT_EQ(std::memcmp(&in.substrate, &back.substrate, sizeof(in.substrate)), 0);
+  EXPECT_GT(back.static_blocks, 0u);
+  EXPECT_EQ(back.static_blocks, in.static_blocks);
+  EXPECT_EQ(back.covered_blocks, in.covered_blocks);
+  EXPECT_EQ(back.timeline.size(), in.timeline.size());
+  EXPECT_EQ(back.entries.size(), in.entries.size());
+  EXPECT_EQ(back.call_counts, in.call_counts);
+  EXPECT_EQ(back.apis_used, in.apis_used);
 }
 
 TEST(FanoutPayloads, WorkV2CarriesJobAndContextKeyAndReusesBuffer) {

@@ -1,11 +1,12 @@
 // Robustness: malformed inputs must fail cleanly, and the solver must find
 // every satisfiable system we can construct by design. Includes the "RSS1"
-// snapshot and "RCP1" checkpoint corruption sweeps (truncation, bit flips,
-// wrong magic/version): parsers must reject or parse garbage cleanly, never
+// snapshot, "RCP1" checkpoint and "FWR2" fan-out result corruption sweeps
+// (truncation, bit flips, wrong magic/version): parsers must reject or parse garbage cleanly, never
 // crash or invoke UB. In sanitizer builds every test here carries the
 // `sanitize` ctest label (CMakeLists.txt), so ASan/UBSan CI runs the sweeps.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -18,6 +19,7 @@
 #include "isa/image.h"
 #include "symex/snapshot.h"
 #include "symex/solver.h"
+#include "trace/serialize.h"
 #include "util/rng.h"
 
 namespace revnic {
@@ -255,6 +257,24 @@ TEST_P(CheckpointFuzzTest, BitFlippedCheckpointsLoadOrFailCleanly) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CheckpointFuzzTest, ::testing::Range<uint64_t>(1, 9));
 
+TEST(CheckpointRobustness, OutOfRangeEntryRoleRejected) {
+  // A role byte past EntryRole::kTimer names no entry point; loading it
+  // would let synthesis emit a function named "?_<pc>", which is not C.
+  const core::Session& s = TinySession();
+  ASSERT_FALSE(s.engine().entries.empty());
+  std::vector<uint8_t> blob = s.SaveCheckpoint();
+  // magic, version, label (u32 length + bytes), bundle, entry count, then
+  // the first entry's role byte.
+  const size_t role_at =
+      12 + s.label().size() + trace::Serialize(s.engine().bundle).size() + 4;
+  ASSERT_LT(role_at, blob.size());
+  ASSERT_EQ(blob[role_at], static_cast<uint8_t>(s.engine().entries[0].role));
+  blob[role_at] = 0xFF;
+  std::string error;
+  EXPECT_EQ(core::Session::LoadCheckpoint(blob, &error), nullptr);
+  EXPECT_FALSE(error.empty());
+}
+
 TEST(CheckpointRobustness, WrongVersionRejected) {
   std::vector<uint8_t> blob = TinySession().SaveCheckpoint();
   ASSERT_GE(blob.size(), 8u);
@@ -379,6 +399,88 @@ TEST(Rdp1Robustness, FanoutPayloadsTruncateCleanly) {
         << "len " << len;
     EXPECT_FALSE(error.empty());
   }
+}
+
+// One begun fan-out slot from a real task: rtl8029's second step, whole-step,
+// handed no snapshot (so it takes the prefix-replay path), under a fault
+// plan so the fault counters are live too.
+const std::vector<uint8_t>& TinyFanoutReply() {
+  static const std::vector<uint8_t> reply = [] {
+    core::EngineConfig cfg;
+    cfg.pci = drivers::DriverPci(drivers::DriverId::kRtl8029);
+    cfg.max_work = 6'000;
+    cfg.max_work_per_step = 1'500;
+    std::string error;
+    EXPECT_TRUE(hw::ParseFaultPlan("5:all=0.05", &cfg.plan.faults, &error)) << error;
+    core::FanoutTaskResult r = core::Engine::ExecuteFanoutTask(
+        drivers::DriverImage(drivers::DriverId::kRtl8029), cfg, {1, 0, 0}, {});
+    EXPECT_TRUE(!r.slots.empty() && r.slots[0].begun);
+    return core::SerializeFanoutResult(r);
+  }();
+  return reply;
+}
+
+class FanoutResultFuzzTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(FanoutResultFuzzTest, BitFlippedResultsDecodeOrFailCleanly) {
+  const std::vector<uint8_t>& reply = TinyFanoutReply();
+  Rng rng(GetParam() * 7919);
+  for (int m = 0; m < 64; ++m) {
+    std::vector<uint8_t> corrupt = reply;
+    corrupt[rng.Below(static_cast<uint32_t>(corrupt.size()))] ^=
+        static_cast<uint8_t>(1u << rng.Below(8));
+    core::FanoutTaskResult out;
+    std::string error;
+    if (core::DeserializeFanoutResult(corrupt, &out, &error)) {
+      // A surviving payload must still re-encode.
+      EXPECT_FALSE(core::SerializeFanoutResult(out).empty());
+    } else {
+      EXPECT_FALSE(error.empty());
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FanoutResultFuzzTest, ::testing::Range<uint64_t>(1, 9));
+
+TEST(TraceRobustness, HugeTableCountsRejectedBeforeAllocating) {
+  // Every TraceBundle table count is checked against the bytes left, so a
+  // corrupt count fails the decode instead of reserving memory for it.
+  const std::vector<uint8_t> clean = trace::Serialize(trace::TraceBundle());
+  // magic + code_begin/code_end/entry, then the five (empty) table counts.
+  ASSERT_EQ(clean.size(), 16u + 5 * 4);
+  for (size_t table = 0; table < 5; ++table) {
+    std::vector<uint8_t> bytes = clean;
+    std::memset(bytes.data() + 16 + 4 * table, 0xFF, 4);
+    trace::TraceBundle out;
+    std::string error;
+    EXPECT_FALSE(trace::Deserialize(bytes, &out, &error)) << "table " << table;
+    EXPECT_FALSE(error.empty());
+  }
+}
+
+// ---- Counter field lists: the codecs' wire order is the list order, so
+// each list must name every member once, in declaration order ----
+
+template <typename T>
+void ExpectDeclarationOrder() {
+  constexpr size_t kN = T::kFields.size();
+  for (size_t i = 0; i < kN; ++i) {
+    T s{};
+    s.*T::kFields[i] = i + 1;
+    uint64_t words[kN];
+    std::memcpy(words, &s, sizeof(s));
+    for (size_t j = 0; j < kN; ++j) {
+      EXPECT_EQ(words[j], j == i ? i + 1 : 0) << "field " << i << " word " << j;
+    }
+  }
+}
+
+TEST(CounterFieldLists, EveryMemberOnceInDeclarationOrder) {
+  ExpectDeclarationOrder<core::EngineStats>();
+  ExpectDeclarationOrder<symex::SolverStats>();
+  ExpectDeclarationOrder<symex::ExecutorStats>();
+  ExpectDeclarationOrder<hw::FaultStats>();
+  ExpectDeclarationOrder<os::WinSimCounters>();
 }
 
 // ---- Fault-plan spec parsing: hostile input fails cleanly ----
