@@ -132,6 +132,43 @@ void BM_SolverIndependentSlices(benchmark::State& state) {
 }
 BENCHMARK(BM_SolverIndependentSlices)->Arg(8)->Arg(64);
 
+// The local search itself: a cold solver (no cache, no shelf) on a
+// three-variable mask/xor/mul component that propagation cannot solve, so
+// every query runs Solver::Search. Arg 0 is satisfiable (about 1.1 k
+// evaluations); arg 1 is unsatisfiable without a structural witness and
+// burns the search budget to kUnknown (about 2.4 k evaluations).
+void BM_SolverSearch(benchmark::State& state) {
+  symex::ExprContext ctx;
+  symex::ExprRef a = ctx.Sym("a", 32);
+  symex::ExprRef b = ctx.Sym("b", 32);
+  symex::ExprRef c = ctx.Sym("c", 32);
+  auto masked_eq = [&](symex::ExprRef e, uint32_t mask, uint32_t value) {
+    return ctx.Eq(ctx.And(std::move(e), ctx.Const(mask)), ctx.Const(value));
+  };
+  std::vector<symex::ExprRef> constraints;
+  if (state.range(0) == 0) {
+    constraints = {masked_eq(ctx.Bin(symex::BinOp::kXor, a, b), 0xFF, 0x36),
+                   masked_eq(ctx.Add(b, c), 0xF0, 0x50),
+                   masked_eq(ctx.Bin(symex::BinOp::kMul, a, ctx.Const(5)), 0xF, 0x3)};
+  } else {
+    symex::ExprRef x = ctx.Bin(symex::BinOp::kXor, a, b);
+    constraints = {masked_eq(x, 0xFF, 0x12), masked_eq(x, 0xFF, 0x13),
+                   ctx.Bin(symex::BinOp::kUlt, ctx.Bin(symex::BinOp::kUDiv, a, b),
+                           ctx.Const(3))};
+  }
+  uint64_t evals = 0;
+  for (auto _ : state) {
+    symex::Solver solver;
+    symex::Model model;
+    auto v = solver.CheckSat(constraints, &model);
+    benchmark::DoNotOptimize(v);
+    evals += solver.stats().evals;
+  }
+  state.counters["evals"] =
+      benchmark::Counter(static_cast<double>(evals), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_SolverSearch)->Arg(0)->Arg(1);
+
 // Hash-consed construction: rebuilding an already-interned expression shape
 // must cost a table probe, not an allocation chain.
 void BM_ExprInternRebuild(benchmark::State& state) {

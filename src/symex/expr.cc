@@ -26,9 +26,14 @@ uint64_t HashExpr(const Expr& e) {
   return h;
 }
 
+// The empty set is a sentinel without a control block (aliasing
+// constructor over an empty owner): every constant node copies it, and a
+// copy then touches no refcount, so lanes building constants in parallel do
+// not contend on one shared atomic.
 const SymSetRef& EmptySymSet() {
-  static const SymSetRef kEmpty = std::make_shared<const SymSet>();
-  return kEmpty;
+  static const SymSet kEmpty;
+  static const SymSetRef kEmptyRef(SymSetRef(), &kEmpty);
+  return kEmptyRef;
 }
 
 // Union of the operands' symbol sets, aliasing an operand's set whenever it
@@ -80,7 +85,9 @@ SymSetRef UnionSyms(const Expr& e) {
   return std::make_shared<const SymSet>(std::move(merged));
 }
 
-uint32_t FoldBin(BinOp op, uint32_t a, uint32_t b, uint8_t width) {
+// Always inlined: it is the body of EvalTape::Run's inner loop.
+[[gnu::always_inline]] inline uint32_t FoldBin(BinOp op, uint32_t a, uint32_t b,
+                                               uint8_t width) {
   uint32_t mask = revnic::LowMask(width);
   a &= mask;
   b &= mask;
@@ -554,6 +561,241 @@ uint32_t Eval(const ExprRef& e, const Model& model) {
 }
 
 namespace {
+// EvalTape step codes past the BinOps (which use their own values).
+constexpr uint8_t kStepSym = static_cast<uint8_t>(BinOp::kSle) + 1;
+constexpr uint8_t kStepExtract = kStepSym + 1;
+constexpr uint8_t kStepZExt = kStepSym + 2;
+constexpr uint8_t kStepSExt = kStepSym + 3;
+constexpr uint8_t kStepSelect = kStepSym + 4;
+
+// Open-addressing map from a node to the value index it got while the
+// root numbered `stamp` was compiled: one flat array and no allocation per
+// node, since a component is compiled on every solver cache miss.
+class NodeIndexTable {
+ public:
+  bool Find(const Expr* e, uint32_t stamp, uint32_t* index) const {
+    const Entry& entry = entries_[Probe(e)];
+    if (entry.node != e || entry.stamp != stamp) {
+      return false;
+    }
+    *index = entry.index;
+    return true;
+  }
+
+  void Set(const Expr* e, uint32_t stamp, uint32_t index) {
+    size_t i = Probe(e);
+    if (entries_[i].node == nullptr) {
+      if (2 * (used_ + 1) > entries_.size()) {  // keep the load at most 1/2
+        std::vector<Entry> old = std::move(entries_);
+        entries_.assign(old.size() * 2, Entry{});
+        for (const Entry& entry : old) {
+          if (entry.node != nullptr) {
+            entries_[Probe(entry.node)] = entry;
+          }
+        }
+        i = Probe(e);
+      }
+      ++used_;
+    }
+    entries_[i] = {e, stamp, index};
+  }
+
+ private:
+  struct Entry {
+    const Expr* node = nullptr;
+    uint32_t stamp = 0;
+    uint32_t index = 0;
+  };
+
+  // The slot holding `e`, or the empty slot where it would go.
+  size_t Probe(const Expr* e) const {
+    const size_t mask = entries_.size() - 1;
+    size_t i = static_cast<size_t>(
+                   (static_cast<uint64_t>(reinterpret_cast<uintptr_t>(e)) >> 4) *
+                       0x9E3779B97F4A7C15ull >>
+                   32) &
+               mask;
+    while (entries_[i].node != nullptr && entries_[i].node != e) {
+      i = (i + 1) & mask;
+    }
+    return i;
+  }
+
+  std::vector<Entry> entries_ = std::vector<Entry>(64);
+  size_t used_ = 0;
+};
+
+// Sorts and deduplicates v[begin, end) in place; returns the new end.
+uint32_t SortUniqueTail(std::vector<uint32_t>* v, uint32_t begin) {
+  if (v->size() - begin > 1) {
+    std::sort(v->begin() + begin, v->end());
+    v->erase(std::unique(v->begin() + begin, v->end()), v->end());
+  }
+  return static_cast<uint32_t>(v->size());
+}
+}  // namespace
+
+EvalTape::EvalTape(std::span<const ExprRef> roots) {
+  // Dense slots in ascending symbol-id order, from the symbol sets cached on
+  // the roots, so each root's sorted ids map to sorted slots.
+  for (const ExprRef& root : roots) {
+    syms_.insert(syms_.end(), root->syms->begin(), root->syms->end());
+  }
+  SortUniqueTail(&syms_, 0);
+  auto slot_of = [this](uint32_t sym_id) {
+    return static_cast<uint32_t>(std::lower_bound(syms_.begin(), syms_.end(), sym_id) -
+                                 syms_.begin());
+  };
+
+  // Node -> value index for the root being compiled (stamp = root index + 1),
+  // so a node shared inside one root is emitted once and each root's tape
+  // still holds every step it needs. Symbols are looked up by slot.
+  // Constants skip both: a repeated one only costs another preloaded value,
+  // never a step.
+  struct Emitted {
+    uint32_t stamp = 0;
+    uint32_t index = 0;
+  };
+  std::vector<Emitted> sym_values(syms_.size());
+  NodeIndexTable seen;
+  uint32_t stamp = 0;
+  auto emit = [&](auto& self, const Expr& e) -> uint32_t {
+    uint32_t index = static_cast<uint32_t>(values_.size());
+    if (e.kind == ExprKind::kConst) {
+      root_consts_.push_back(e.value);
+      values_.push_back(e.value);
+      return index;
+    }
+    if (e.kind == ExprKind::kSym) {
+      uint32_t slot = slot_of(e.sym_id);
+      Emitted& done = sym_values[slot];
+      if (done.stamp != stamp) {
+        ops_.push_back(Op{kStepSym, e.width, index, slot, 0, 0});
+        values_.push_back(0);
+        done = {stamp, index};
+      }
+      return done.index;
+    }
+    if (seen.Find(&e, stamp, &index)) {
+      return index;
+    }
+    Op op{};
+    op.width = e.width;
+    switch (e.kind) {
+      case ExprKind::kConst:  // returned above
+      case ExprKind::kSym:
+        break;
+      case ExprKind::kBin:
+        op.code = static_cast<uint8_t>(e.bin_op);
+        op.width = e.a->width;
+        op.a = self(self, *e.a);
+        op.b = self(self, *e.b);
+        break;
+      case ExprKind::kExtract:
+        op.code = kStepExtract;
+        op.a = self(self, *e.a);
+        op.b = 8 * e.value;
+        break;
+      case ExprKind::kZExt:
+        op.code = kStepZExt;
+        op.a = self(self, *e.a);
+        break;
+      case ExprKind::kSExt:
+        op.code = kStepSExt;
+        op.a = self(self, *e.a);
+        op.b = e.a->width;
+        break;
+      case ExprKind::kSelect:
+        op.code = kStepSelect;
+        op.a = self(self, *e.a);
+        op.b = self(self, *e.b);
+        op.c = self(self, *e.c);
+        break;
+    }
+    index = static_cast<uint32_t>(values_.size());
+    values_.push_back(0);
+    op.dst = index;
+    ops_.push_back(op);
+    seen.Set(&e, stamp, index);
+    return index;
+  };
+
+  roots_.reserve(roots.size());
+  for (const ExprRef& root : roots) {
+    ++stamp;
+    Root r;
+    r.op_begin = static_cast<uint32_t>(ops_.size());
+    r.const_begin = static_cast<uint32_t>(root_consts_.size());
+    r.result = emit(emit, *root);
+    r.op_end = static_cast<uint32_t>(ops_.size());
+    r.const_end = SortUniqueTail(&root_consts_, r.const_begin);
+    r.slot_begin = static_cast<uint32_t>(root_slots_.size());
+    for (uint32_t sym : *root->syms) {
+      root_slots_.push_back(slot_of(sym));
+    }
+    r.slot_end = static_cast<uint32_t>(root_slots_.size());
+    roots_.push_back(r);
+  }
+}
+
+std::vector<uint32_t> EvalTape::Slots(const Model& model) const {
+  std::vector<uint32_t> slots(syms_.size());
+  for (size_t s = 0; s < syms_.size(); ++s) {
+    auto it = model.find(syms_[s]);
+    slots[s] = it == model.end() ? 0 : it->second;
+  }
+  return slots;
+}
+
+Model EvalTape::ToModel(std::span<const uint32_t> slots) const {
+  Model model;
+  for (size_t s = 0; s < syms_.size(); ++s) {
+    model.emplace_hint(model.end(), syms_[s], slots[s]);
+  }
+  return model;
+}
+
+uint32_t EvalTape::Run(size_t i, const uint32_t* slots) {
+  const Root& r = roots_[i];
+  uint32_t* v = values_.data();
+  const Op* end = ops_.data() + r.op_end;
+  for (const Op* op = ops_.data() + r.op_begin; op != end; ++op) {
+    uint32_t x;
+    switch (op->code) {
+      case kStepSym:
+        x = slots[op->a] & LowMask(op->width);
+        break;
+      case kStepExtract:
+        x = (v[op->a] >> op->b) & 0xFF;
+        break;
+      case kStepZExt:
+        x = v[op->a] & LowMask(op->width);
+        break;
+      case kStepSExt:
+        x = SignExtend(v[op->a], op->b) & LowMask(op->width);
+        break;
+      case kStepSelect:
+        x = v[op->c] != 0 ? v[op->a] : v[op->b];
+        break;
+      default:
+        x = FoldBin(static_cast<BinOp>(op->code), v[op->a], v[op->b], op->width);
+        break;
+    }
+    v[op->dst] = x;
+  }
+  return v[r.result];
+}
+
+bool EvalTape::AllTrue(const uint32_t* slots) {
+  for (size_t i = 0; i < roots_.size(); ++i) {
+    if (Run(i, slots) == 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+namespace {
 template <typename Fn>
 void Visit(const ExprRef& e, std::unordered_set<const Expr*>* seen, Fn&& fn) {
   if (!e || !seen->insert(e.get()).second) {
@@ -578,15 +820,6 @@ void CollectSymsWalk(const ExprRef& e, std::set<uint32_t>* out) {
   Visit(e, &seen, [out](const ExprRef& n) {
     if (n->kind == ExprKind::kSym) {
       out->insert(n->sym_id);
-    }
-  });
-}
-
-void CollectConstants(const ExprRef& e, std::set<uint32_t>* out) {
-  std::unordered_set<const Expr*> seen;
-  Visit(e, &seen, [out](const ExprRef& n) {
-    if (n->kind == ExprKind::kConst) {
-      out->insert(n->value);
     }
   });
 }

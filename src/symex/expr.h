@@ -267,6 +267,62 @@ class ExprContext {
 // Evaluates `e` under `model`; unmapped symbols evaluate to 0.
 uint32_t Eval(const ExprRef& e, const Model& model);
 
+// Compiled evaluator for a fixed list of root expressions (the solver's
+// local search runs on it). Each root becomes a flat post-order tape over
+// its hash-consed DAG, so a node shared inside the root is computed once
+// per run, and each symbol becomes a dense slot in a uint32_t vector
+// instead of a std::map lookup. Run(i, slots) returns exactly what
+// Eval(root i, model) returns for the model mapping syms()[s] to slots[s]:
+// every op is the same pure fold Eval applies.
+class EvalTape {
+ public:
+  explicit EvalTape(std::span<const ExprRef> roots);
+
+  size_t num_roots() const { return roots_.size(); }
+  // Symbol ids read by any root, ascending; slot s holds syms()[s].
+  const std::vector<uint32_t>& syms() const { return syms_; }
+  // Slots root i reads, ascending.
+  std::span<const uint32_t> root_slots(size_t i) const {
+    return {root_slots_.data() + roots_[i].slot_begin, roots_[i].slot_end - roots_[i].slot_begin};
+  }
+  // Distinct constant literals of root i, ascending.
+  std::span<const uint32_t> root_constants(size_t i) const {
+    return {root_consts_.data() + roots_[i].const_begin,
+            roots_[i].const_end - roots_[i].const_begin};
+  }
+
+  // Slot vector for `model`; unmapped symbols read 0, as in Eval.
+  std::vector<uint32_t> Slots(const Model& model) const;
+  // The model over syms() that `slots` encodes.
+  Model ToModel(std::span<const uint32_t> slots) const;
+
+  // Value of root i; `slots` holds syms().size() entries.
+  uint32_t Run(size_t i, const uint32_t* slots);
+  // True iff every root is nonzero; stops at the first zero.
+  bool AllTrue(const uint32_t* slots);
+
+ private:
+  // One post-order step. `code` is a BinOp, or one of the unary/select
+  // codes numbered past the BinOps (expr.cc). Operands index values_;
+  // a symbol step's `a` is its slot.
+  struct Op {
+    uint8_t code;
+    uint8_t width;  // FoldBin width (the left operand's) for BinOps, else the result width
+    uint32_t dst, a, b, c;
+  };
+  struct Root {
+    uint32_t op_begin, op_end, result;
+    uint32_t slot_begin, slot_end, const_begin, const_end;
+  };
+
+  std::vector<Op> ops_;
+  std::vector<uint32_t> values_;  // one per compiled node; constants preloaded
+  std::vector<uint32_t> syms_;
+  std::vector<uint32_t> root_slots_;
+  std::vector<uint32_t> root_consts_;
+  std::vector<Root> roots_;
+};
+
 // Collects the symbolic variable ids appearing in `e`. O(|syms|): reads the
 // symbol set cached on the node at construction.
 void CollectSyms(const ExprRef& e, std::set<uint32_t>* out);
@@ -274,9 +330,6 @@ void CollectSyms(const ExprRef& e, std::set<uint32_t>* out);
 // Ground-truth DAG walk behind CollectSyms; kept for tests that validate the
 // cached symbol sets.
 void CollectSymsWalk(const ExprRef& e, std::set<uint32_t>* out);
-
-// Collects every constant literal in `e` (solver candidate seeding).
-void CollectConstants(const ExprRef& e, std::set<uint32_t>* out);
 
 // Number of DAG nodes (visits shared nodes once); guards expression blowup.
 size_t ExprSize(const ExprRef& e);

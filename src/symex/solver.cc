@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <map>
 #include <numeric>
-#include <set>
 
 #include "util/bits.h"
 #include "util/log.h"
@@ -205,25 +204,6 @@ void Propagate(const ExprRef& c, bool polarity, std::map<uint32_t, VarDomain>* d
   }
 }
 
-bool EvalAll(const std::vector<ExprRef>& constraints, const Model& model) {
-  for (const ExprRef& c : constraints) {
-    if (Eval(c, model) == 0) {
-      return false;
-    }
-  }
-  return true;
-}
-
-size_t CountSat(const std::vector<ExprRef>& constraints, const Model& model) {
-  size_t n = 0;
-  for (const ExprRef& c : constraints) {
-    if (Eval(c, model) != 0) {
-      ++n;
-    }
-  }
-  return n;
-}
-
 // Canonical component order: interned-node hash, ties broken by address
 // (stable within a process since equal nodes share one interned object).
 void CanonicalSort(std::vector<ExprRef>* group) {
@@ -266,7 +246,7 @@ Verdict Solver::CheckSat(ConstraintView constraints, Model* model, const Model* 
   work.reserve(constraints.size());
   for (const ExprRef& c : constraints) {
     if (c->IsConst() || c->syms->empty()) {
-      if (Eval(c, Model()) == 0) {
+      if ((c->IsConst() ? c->value : EvalTape({&c, 1}).Run(0, nullptr)) == 0) {
         ++stats_.unsat;
         return Verdict::kUnsat;
       }
@@ -370,27 +350,22 @@ Verdict Solver::SolveGroupCached(std::vector<ExprRef> group, Model* model, const
       // the cached entry so the whole run benefits; only hintless repeats
       // are answered from the cache.
       if (hint != nullptr) {
-        Model trial;
-        for (const ExprRef& c : group) {
-          for (uint32_t sym : *c->syms) {
-            auto hv = hint->find(sym);
-            trial[sym] = hv == hint->end() ? 0 : hv->second;
-          }
-        }
+        EvalTape tape(group);
+        std::vector<uint32_t> trial = tape.Slots(*hint);
         ++stats_.evals;
-        if (EvalAll(group, trial)) {
+        if (tape.AllTrue(trial.data())) {
           ++stats_.cache_hits;
           it->second.verdict = Verdict::kSat;
-          it->second.model = trial;
-          ShelveModel(trial);
+          it->second.model = tape.ToModel(trial);
+          ShelveModel(it->second.model);
           if (model != nullptr) {
-            *model = std::move(trial);
+            *model = it->second.model;
           }
           return Verdict::kSat;
         }
         ++stats_.cache_misses;
         Model found;
-        Verdict v = SolveGroup(group, &found, hint);
+        Verdict v = SolveGroup(group, &tape, &found, hint);
         if (v != Verdict::kUnknown) {
           it->second.verdict = v;
           if (v == Verdict::kSat) {
@@ -409,7 +384,8 @@ Verdict Solver::SolveGroupCached(std::vector<ExprRef> group, Model* model, const
   }
   ++stats_.cache_misses;
   Model found;
-  Verdict v = SolveGroup(group, &found, hint);
+  EvalTape tape(group);
+  Verdict v = SolveGroup(group, &tape, &found, hint);
   if (v == Verdict::kSat) {
     ShelveModel(found);
   }
@@ -441,12 +417,9 @@ void Solver::ShelveModel(const Model& model) {
   }
 }
 
-Verdict Solver::SolveGroup(const std::vector<ExprRef>& constraints, Model* model,
-                           const Model* hint) {
-  std::set<uint32_t> var_set;
-  for (const ExprRef& c : constraints) {
-    CollectSyms(c, &var_set);
-  }
+Verdict Solver::SolveGroup(const std::vector<ExprRef>& constraints, EvalTape* tape,
+                           Model* model, const Model* hint) {
+  const std::vector<uint32_t>& syms = tape->syms();
 
   // Structural contradiction: constraints containing both a comparison and
   // its exact negation (same operands) are unsat -- the common case of a
@@ -495,7 +468,7 @@ Verdict Solver::SolveGroup(const std::vector<ExprRef>& constraints, Model* model
 
   // Domain propagation.
   std::map<uint32_t, VarDomain> domains;
-  for (uint32_t v : var_set) {
+  for (uint32_t v : syms) {
     domains[v] = VarDomain{};
   }
   for (const ExprRef& c : constraints) {
@@ -511,43 +484,45 @@ Verdict Solver::SolveGroup(const std::vector<ExprRef>& constraints, Model* model
 
   // Seed assignment: propagation representatives, overridden by the hint
   // (the hint satisfies the old constraints; only new conditions need work).
-  Model seed;
+  // Propagation only touches the component's own symbols, so `domains` and
+  // the tape's slots list the same ids in the same order.
+  std::vector<uint32_t> reps;
+  reps.reserve(syms.size());
   for (const auto& [sym, d] : domains) {
-    seed[sym] = d.Representative();
+    reps.push_back(d.Representative());
   }
+  std::vector<uint32_t> seed = reps;
   if (hint != nullptr) {
-    for (const auto& [sym, value] : *hint) {
-      if (seed.count(sym) != 0) {
-        seed[sym] = value;
+    for (size_t s = 0; s < syms.size(); ++s) {
+      auto it = hint->find(syms[s]);
+      if (it != hint->end()) {
+        seed[s] = it->second;
       }
     }
   }
   ++stats_.evals;
-  if (EvalAll(constraints, seed)) {
-    *model = std::move(seed);
+  if (tape->AllTrue(seed.data())) {
+    *model = tape->ToModel(seed);
     return Verdict::kSat;
   }
   // Second quick try: pure propagation representatives (the hint may fight a
   // new equality the domains already solved).
-  Model reps;
-  for (const auto& [sym, d] : domains) {
-    reps[sym] = d.Representative();
-  }
   ++stats_.evals;
-  if (EvalAll(constraints, reps)) {
-    *model = std::move(reps);
+  if (tape->AllTrue(reps.data())) {
+    *model = tape->ToModel(reps);
     return Verdict::kSat;
   }
   // Counterexample-cache style: replay recent satisfying assignments (the
   // same hardware-status / OID values recur across states and entry points)
   // on this component's variables before paying for a search.
+  std::vector<uint32_t> trial;
   for (const Model& shelved : shelf_) {
-    Model trial = reps;
+    trial = reps;
     bool overlaps = false;
-    for (uint32_t sym : var_set) {
-      auto it = shelved.find(sym);
+    for (size_t s = 0; s < syms.size(); ++s) {
+      auto it = shelved.find(syms[s]);
       if (it != shelved.end()) {
-        trial[sym] = it->second;
+        trial[s] = it->second;
         overlaps = true;
       }
     }
@@ -555,42 +530,35 @@ Verdict Solver::SolveGroup(const std::vector<ExprRef>& constraints, Model* model
       continue;
     }
     ++stats_.evals;
-    if (EvalAll(constraints, trial)) {
+    if (tape->AllTrue(trial.data())) {
       ++stats_.shelf_hits;
-      *model = std::move(trial);
+      *model = tape->ToModel(trial);
       return Verdict::kSat;
     }
   }
 
-  return Search(constraints, std::move(seed), model);
+  return Search(tape, std::move(seed), model);
 }
 
-Verdict Solver::Search(const std::vector<ExprRef>& constraints, Model seed, Model* model) {
+Verdict Solver::Search(EvalTape* tape, std::vector<uint32_t> seed, Model* model) {
   // WalkSAT-style local repair with incremental evaluation: changing one
-  // variable only re-evaluates the constraints that mention it. Driver
-  // constraints (comparison/mask chains) converge in a handful of steps.
-  const size_t n = constraints.size();
-  std::vector<std::vector<uint32_t>> con_vars(n);
-  std::vector<std::vector<uint32_t>> con_consts(n);
-  std::map<uint32_t, std::vector<size_t>> var_to_cons;
+  // variable only re-runs the tapes of the constraints that read its slot.
+  // Driver constraints (comparison/mask chains) converge in a handful of
+  // steps.
+  const size_t n = tape->num_roots();
+  std::vector<std::vector<size_t>> slot_to_cons(tape->syms().size());
   for (size_t i = 0; i < n; ++i) {
-    std::set<uint32_t> vs;
-    CollectSyms(constraints[i], &vs);
-    con_vars[i].assign(vs.begin(), vs.end());
-    for (uint32_t v : vs) {
-      var_to_cons[v].push_back(i);
+    for (uint32_t slot : tape->root_slots(i)) {
+      slot_to_cons[slot].push_back(i);
     }
-    std::set<uint32_t> cs;
-    CollectConstants(constraints[i], &cs);
-    con_consts[i].assign(cs.begin(), cs.end());
   }
 
-  Model current = std::move(seed);
+  std::vector<uint32_t> current = std::move(seed);
   std::vector<bool> sat(n);
   std::vector<size_t> unsat_list;
   for (size_t i = 0; i < n; ++i) {
     ++stats_.evals;
-    sat[i] = Eval(constraints[i], current) != 0;
+    sat[i] = tape->Run(i, current.data()) != 0;
     if (!sat[i]) {
       unsat_list.push_back(i);
     }
@@ -608,12 +576,12 @@ Verdict Solver::Search(const std::vector<ExprRef>& constraints, Model seed, Mode
       break;
     }
     size_t violated = unsat_list[rng_.Below(static_cast<uint32_t>(unsat_list.size()))];
-    const std::vector<uint32_t>& vars = con_vars[violated];
-    if (vars.empty()) {
+    std::span<const uint32_t> slots = tape->root_slots(violated);
+    if (slots.empty()) {
       return Verdict::kUnsat;  // constant-false constraint
     }
-    uint32_t var = vars[rng_.Below(static_cast<uint32_t>(vars.size()))];
-    const std::vector<size_t>& affected = var_to_cons[var];
+    uint32_t var = slots[rng_.Below(static_cast<uint32_t>(slots.size()))];
+    const std::vector<size_t>& affected = slot_to_cons[var];
 
     uint32_t original = current[var];
     // Delta score of assigning `v`: newly-satisfied minus newly-violated
@@ -623,7 +591,7 @@ Verdict Solver::Search(const std::vector<ExprRef>& constraints, Model seed, Mode
       int64_t delta = 0;
       for (size_t ci : affected) {
         ++stats_.evals;
-        bool now = Eval(constraints[ci], current) != 0;
+        bool now = tape->Run(ci, current.data()) != 0;
         delta += static_cast<int64_t>(now) - static_cast<int64_t>(sat[ci]);
       }
       current[var] = original;
@@ -643,7 +611,7 @@ Verdict Solver::Search(const std::vector<ExprRef>& constraints, Model seed, Mode
       }
     };
     size_t budget = options_.candidates_per_step;
-    for (uint32_t k : con_consts[violated]) {
+    for (uint32_t k : tape->root_constants(violated)) {
       if (budget == 0) {
         break;
       }
@@ -669,7 +637,7 @@ Verdict Solver::Search(const std::vector<ExprRef>& constraints, Model seed, Mode
     // Commit: update sat flags for affected constraints.
     for (size_t ci : affected) {
       ++stats_.evals;
-      sat[ci] = Eval(constraints[ci], current) != 0;
+      sat[ci] = tape->Run(ci, current.data()) != 0;
     }
     unsat_list.clear();
     for (size_t i = 0; i < n; ++i) {
@@ -680,7 +648,7 @@ Verdict Solver::Search(const std::vector<ExprRef>& constraints, Model seed, Mode
   }
   if (unsat_list.empty()) {
     if (model != nullptr) {
-      *model = std::move(current);
+      *model = tape->ToModel(current);
     }
     return Verdict::kSat;
   }

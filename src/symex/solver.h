@@ -139,11 +139,15 @@ class Solver {
     Model model;  // valid iff verdict == kSat
   };
 
-  // Runs the propagation/search pipeline on one component.
-  Verdict SolveGroup(const std::vector<ExprRef>& constraints, Model* model, const Model* hint);
+  // Runs the propagation/search pipeline on one component; `tape` is the
+  // component compiled once, and every candidate assignment is evaluated on
+  // it.
+  Verdict SolveGroup(const std::vector<ExprRef>& constraints, EvalTape* tape, Model* model,
+                     const Model* hint);
   // SolveGroup behind the fingerprint cache and the model shelf.
   Verdict SolveGroupCached(std::vector<ExprRef> group, Model* model, const Model* hint);
-  Verdict Search(const std::vector<ExprRef>& constraints, Model seed, Model* model);
+  // Local repair from `seed`, a slot vector over tape->syms().
+  Verdict Search(EvalTape* tape, std::vector<uint32_t> seed, Model* model);
   void ShelveModel(const Model& model);
 
   Options options_;

@@ -112,9 +112,13 @@ TEST_F(ExprTest, CollectSymsAndConstants) {
   std::set<uint32_t> syms;
   CollectSyms(e, &syms);
   EXPECT_EQ(syms.size(), 2u);
-  std::set<uint32_t> consts;
-  CollectConstants(e, &consts);
-  EXPECT_TRUE(consts.count(0xF0));
+  // The compiled evaluator harvests the same sets (solver candidate seeding).
+  EvalTape tape({&e, 1});
+  EXPECT_EQ(tape.syms(), (std::vector<uint32_t>{v->sym_id, w->sym_id}));
+  EXPECT_EQ(std::vector<uint32_t>(tape.root_slots(0).begin(), tape.root_slots(0).end()),
+            (std::vector<uint32_t>{0, 1}));
+  EXPECT_EQ(std::vector<uint32_t>(tape.root_constants(0).begin(), tape.root_constants(0).end()),
+            (std::vector<uint32_t>{0xF0}));
 }
 
 TEST_F(ExprTest, StructuralEquality) {

@@ -373,6 +373,159 @@ TEST_P(SnapshotRoundTrip, ExprDagAndMemorySurviveSerialization) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SnapshotRoundTrip, ::testing::Range<uint64_t>(1, 13));
 
+// ---- compiled evaluator (symex::EvalTape) against tree Eval ----
+//
+// The solver's local search evaluates every candidate on an EvalTape, so the
+// tape must agree with Eval on every expression shape: each BinOp at widths
+// 1/8/16/32, selects, zext/sext/extract, shifts by at least the width,
+// division and remainder by zero, and subtrees shared between and inside
+// roots. Models leave some symbols unmapped; those read 0.
+
+// Every constant literal of `e`, ascending and deduplicated (ground truth
+// for EvalTape::root_constants).
+void WalkConstants(const symex::ExprRef& e, std::set<uint32_t>* out) {
+  if (!e) {
+    return;
+  }
+  if (e->kind == symex::ExprKind::kConst) {
+    out->insert(e->value);
+  }
+  WalkConstants(e->a, out);
+  WalkConstants(e->b, out);
+  WalkConstants(e->c, out);
+}
+
+class EvalTapeDifferential : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(EvalTapeDifferential, TapeMatchesTreeEval) {
+  Rng rng(GetParam() * 0x9E3779B1u + 7);
+  symex::ExprContext ctx;
+  const uint8_t kWidths[] = {1, 8, 16, 32};
+  // pools[w]: live values of width kWidths[w]; every pool starts with fresh
+  // symbols so no node folds to a constant.
+  std::vector<symex::ExprRef> pools[4];
+  std::vector<uint32_t> sym_ids;
+  for (int w = 0; w < 4; ++w) {
+    for (int k = 0; k < 3; ++k) {
+      symex::ExprRef v = ctx.Sym(StrFormat("t%d_%d", w, k), kWidths[w]);
+      sym_ids.push_back(v->sym_id);
+      pools[w].push_back(v);
+    }
+  }
+  auto pick = [&](int w) { return pools[w][rng.Below(static_cast<uint32_t>(pools[w].size()))]; };
+  auto width_index = [](uint8_t width) { return width == 1 ? 0 : width == 8 ? 1 : width == 16 ? 2 : 3; };
+  auto add = [&](const symex::ExprRef& e) {
+    if (!e->IsConst()) {
+      pools[width_index(e->width)].push_back(e);
+    }
+  };
+  // Operand b: another pool value, a random constant, or a shift amount at
+  // or past the width.
+  auto operand = [&](int w) {
+    switch (rng.Below(4)) {
+      case 0:
+        return ctx.Const(rng.Next32(), kWidths[w]);
+      case 1:
+        return ctx.Const(kWidths[w] + rng.Below(8), kWidths[w]);
+      default:
+        return pick(w);
+    }
+  };
+  // Every BinOp at every width, twice, then random structure on top.
+  for (int round = 0; round < 2; ++round) {
+    for (int w = 0; w < 4; ++w) {
+      for (int op = 0; op <= static_cast<int>(symex::BinOp::kSle); ++op) {
+        add(ctx.Bin(static_cast<symex::BinOp>(op), pick(w), operand(w)));
+      }
+    }
+  }
+  for (int i = 0; i < 120; ++i) {
+    int w = static_cast<int>(rng.Below(4));
+    switch (rng.Below(6)) {
+      case 0:
+        add(ctx.Bin(static_cast<symex::BinOp>(rng.Below(17)), pick(w), operand(w)));
+        break;
+      case 1:
+        add(ctx.Select(pick(0), pick(w), pick(w)));
+        break;
+      case 2:
+        add(ctx.ZExt(pick(w), kWidths[w + static_cast<int>(rng.Below(4 - w))]));
+        break;
+      case 3:
+        add(ctx.SExt(pick(w), kWidths[w + static_cast<int>(rng.Below(4 - w))]));
+        break;
+      case 4:
+        add(ctx.ExtractByte(pick(3), rng.Below(4)));
+        break;
+      default:
+        // Division and remainder by a symbol that is often 0 or unmapped.
+        add(ctx.Bin(rng.Below(2) == 0 ? symex::BinOp::kUDiv : symex::BinOp::kURem, pick(w),
+                    pools[w][rng.Below(3)]));
+        break;
+    }
+  }
+
+  std::vector<symex::ExprRef> roots;
+  for (const auto& pool : pools) {
+    roots.insert(roots.end(), pool.begin(), pool.end());
+  }
+  symex::EvalTape tape(roots);
+  ASSERT_EQ(tape.num_roots(), roots.size());
+  for (size_t i = 0; i < roots.size(); ++i) {
+    std::set<uint32_t> syms, consts;
+    CollectSymsWalk(roots[i], &syms);
+    WalkConstants(roots[i], &consts);
+    std::vector<uint32_t> slot_syms;
+    for (uint32_t slot : tape.root_slots(i)) {
+      slot_syms.push_back(tape.syms()[slot]);
+    }
+    EXPECT_EQ(slot_syms, std::vector<uint32_t>(syms.begin(), syms.end())) << "root " << i;
+    EXPECT_EQ(std::vector<uint32_t>(tape.root_constants(i).begin(), tape.root_constants(i).end()),
+              std::vector<uint32_t>(consts.begin(), consts.end()))
+        << "root " << i;
+  }
+
+  for (int trial = 0; trial < 24; ++trial) {
+    symex::Model model;
+    for (uint32_t sym : sym_ids) {
+      switch (rng.Below(5)) {
+        case 0:
+          break;  // unmapped: reads 0
+        case 1:
+          model[sym] = 0;
+          break;
+        case 2:
+          model[sym] = rng.Below(40);  // small: shifts past the width, tiny divisors
+          break;
+        default:
+          model[sym] = rng.Next32();  // wider than the symbol: Eval masks it
+          break;
+      }
+    }
+    std::vector<uint32_t> slots = tape.Slots(model);
+    bool all_true = true;
+    // Odd trials run the roots last to first: the search re-runs single
+    // tapes in any order, so no root may lean on values another root's run
+    // left behind.
+    for (size_t k = 0; k < roots.size(); ++k) {
+      size_t i = trial % 2 == 0 ? k : roots.size() - 1 - k;
+      uint32_t want = symex::Eval(roots[i], model);
+      all_true = all_true && want != 0;
+      ASSERT_EQ(tape.Run(i, slots.data()), want)
+          << "root " << i << " " << symex::ToString(roots[i]) << " trial " << trial;
+    }
+    EXPECT_EQ(tape.AllTrue(slots.data()), all_true);
+    // Round trip through the model: unmapped symbols come back as explicit 0.
+    symex::Model back = tape.ToModel(slots);
+    for (size_t s = 0; s < tape.syms().size(); ++s) {
+      auto it = model.find(tape.syms()[s]);
+      EXPECT_EQ(back.at(tape.syms()[s]), it == model.end() ? 0u : it->second);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, EvalTapeDifferential, ::testing::Range<uint64_t>(1, 17));
+
 // Property: the assembler's output disassembles back to text that
 // re-assembles to the identical image (for label-free programs).
 TEST(AssemblerProperty, DriversDisassembleCleanly) {
