@@ -31,6 +31,27 @@
 
 namespace {
 
+// The fan-out's deterministic scaling figures (REVNIC_PARALLEL_STATS).
+void PrintParallelStats(const revnic::core::EngineResult& engine,
+                        const revnic::core::ExercisePlan& plan) {
+  const revnic::core::ParallelExerciseStats& p = engine.parallel;
+  fprintf(stderr,
+          "[parallel-exercise] sub-shards=%u workers=%u "
+          "fleet=%u steals=%u spine=%llu work, replayed-prefix=%llu, "
+          "enum-overhead=%llu, %u segments (sum=%llu max=%llu), tasks=%u, "
+          "critical path=%llu (%.2fx vs serial merge), failovers=%u\n",
+          p.sub_shards, p.worker_processes, p.fleet_workers, p.fleet_steals,
+          (unsigned long long)p.spine_work, (unsigned long long)p.replayed_prefix_work,
+          (unsigned long long)p.enum_work, p.slots, (unsigned long long)p.sum_segment_work,
+          (unsigned long long)p.max_segment_work, p.tasks, (unsigned long long)p.critical_path,
+          p.critical_path == 0 ? 1.0 : (double)engine.stats.work / (double)p.critical_path,
+          p.failovers);
+  if (plan.faults.Enabled()) {
+    fprintf(stderr, "[parallel-exercise] %s\n",
+            revnic::hw::FormatFaultStats(engine.fault_stats).c_str());
+  }
+}
+
 void PrintUsage(const char* argv0) {
   printf("usage: %s [options] [<driver>]\n"
          "  --driver <name>      target from the registry (default: pcnet)\n"
@@ -239,6 +260,9 @@ int main(int argc, char** argv) {
     return 1;
   }
   const core::EngineResult& engine = session->engine();
+  if (!resumed && !core::IsSequentialPlan(plan) && getenv("REVNIC_PARALLEL_STATS") != nullptr) {
+    PrintParallelStats(engine, plan);
+  }
   printf("dynamic exercise: %.1f%% coverage, %llu paths forked, %llu API calls\n",
          engine.CoveragePercent(), static_cast<unsigned long long>(engine.executor_stats.forks),
          static_cast<unsigned long long>(engine.stats.api_calls));

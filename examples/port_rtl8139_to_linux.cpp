@@ -63,7 +63,7 @@ int main() {
   printf("vendor stalls: original executed %llu us of NdisStallExecution;\n"
          "               Linux template stripped %llu us (quirk removed)\n\n",
          static_cast<unsigned long long>(original.os().counters().stall_micros),
-         static_cast<unsigned long long>(ported.counters().stripped_stalls_us));
+         static_cast<unsigned long long>(ported.stripped_stalls_us()));
 
   // --- performance: the Figure 2 trio at three packet sizes. ---
   perf::PlatformProfile pc = perf::X86Pc();

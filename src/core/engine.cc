@@ -11,6 +11,7 @@
 #include "core/result_codec.h"
 #include "dist/coordinator.h"
 #include "isa/isa.h"
+#include "os/miniport_host.h"
 #include "symex/coverage.h"
 #include "symex/executor.h"
 #include "symex/snapshot.h"
@@ -64,11 +65,12 @@ struct Step {
   std::function<void(symex::ExprContext*, ExecutionState*)> setup;
 };
 
-constexpr uint32_t kScratch = 0x00200000;     // packet struct + buffers
-constexpr uint32_t kPacketStruct = kScratch;
-constexpr uint32_t kPacketData = kScratch + 0x100;
-constexpr uint32_t kIoctlBuf = kScratch + 0x800;
-constexpr uint32_t kIoctlOut = kScratch + 0x7F0;
+// The script stages packets and IOCTL buffers where the concrete driver
+// hosts do (os::MiniportHost's layout).
+constexpr uint32_t kPacketStruct = os::MiniportHost::kPacketAddr;
+constexpr uint32_t kPacketData = os::MiniportHost::kFrameAddr;
+constexpr uint32_t kIoctlBuf = os::MiniportHost::kIoctlBufAddr;
+constexpr uint32_t kIoctlOut = os::MiniportHost::kIoctlCountAddr;
 
 // The per-step exploration limits RunStep honors. The sequential engine uses
 // the config's values for every step; the parallel engine drives prefix
@@ -150,7 +152,8 @@ struct Engine::Impl {
         pool(config.pool, config.seed ^ 0x5EED),
         rng(config.seed ^ 0xC0FFEE),
         faults(config.plan.faults),
-        sink(&bundle) {
+        sink(&bundle),
+        heartbeat(getenv("REVNIC_HEARTBEAT") != nullptr) {
     executor.set_next_state_id(&next_state_id);
     shell.set_fault_schedule(faults.enabled() ? &faults : nullptr);
     winsim.LoadDriver(image, &mm);
@@ -447,8 +450,7 @@ struct Engine::Impl {
         break;
       }
       std::unique_ptr<ExecutionState> cur = pool.SelectNext();
-      // Operator diagnostics: REVNIC_HEARTBEAT=1 streams exerciser progress.
-      if (getenv("REVNIC_HEARTBEAT") != nullptr && stats.work % 50 == 0) {
+      if (heartbeat && stats.work % 50 == 0) {
         fprintf(stderr,
                 "[hb] step=%s work=%llu pool=%zu pc=0x%x constraints=%zu solver-hits=%llu\n",
                 step.name.c_str(), (unsigned long long)stats.work, pool.NumRunnable(),
@@ -596,7 +598,7 @@ struct Engine::Impl {
     script.push_back(drv);
 
     Step init{.name = "initialize", .role = EntryRole::kInitialize};
-    init.args = {{false, 0x2000, "handle"}};
+    init.args = {{false, os::MiniportHost::kDriverHandle, "handle"}};
     script.push_back(init);
 
     script.push_back(MakeIrqStep("irq_after_init_isr", EntryRole::kIsr));
@@ -1636,12 +1638,12 @@ struct Engine::Impl {
     }
     // Scaling diagnostics: the per-task work distribution is what bounds
     // parallel scaling (wall ~ spine + max task chain on enough cores).
-    // `spine` is the O(S) shared pass; `replayed-prefix` is the extra
-    // per-task spine work of the restore fallback (0 in a healthy run);
-    // `enum-overhead` is the per-task re-run of the
-    // bounded enumeration phase when sub-sharding. A task's chain is
-    // everything it executed (handoff + enumeration + owned segments), so
-    // the critical path is exact for both fan-out architectures.
+    // The spine is the O(S) shared pass; the replayed prefix is the extra
+    // per-task spine work of the restore fallback (0 in a healthy run); the
+    // enumeration work is the per-task re-run of the bounded enumeration
+    // phase when sub-sharding. A task's chain is everything it executed
+    // (handoff + enumeration + owned segments), so the critical path is
+    // exact for both fan-out architectures.
     {
       uint64_t spine_work = merged.stats.work - sum_seg;
       uint64_t critical = spine_work + max_chain;
@@ -1649,6 +1651,7 @@ struct Engine::Impl {
       merged.parallel.max_task_chain = max_chain;
       merged.parallel.critical_path = critical;
       merged.parallel.sum_segment_work = sum_seg;
+      merged.parallel.max_segment_work = max_seg;
       merged.parallel.replayed_prefix_work = sum_replayed;
       merged.parallel.enum_work = sum_enum;
       merged.parallel.tasks = static_cast<uint32_t>(total_tasks);
@@ -1662,24 +1665,6 @@ struct Engine::Impl {
       merged.parallel.snapshot_bytes_shipped = snap_shipped;
       merged.parallel.snapshot_bytes_reused = snap_reused;
       merged.parallel.task_works = std::move(task_works);
-      if (!config.quiet_parallel_stats && getenv("REVNIC_PARALLEL_STATS") != nullptr) {
-        fprintf(stderr,
-                "[parallel-exercise] sub-shards=%u workers=%u "
-                "fleet=%u steals=%u spine=%llu work, replayed-prefix=%llu, "
-                "enum-overhead=%llu, %u segments (sum=%llu max=%llu), tasks=%zu, "
-                "critical path=%llu (%.2fx vs serial merge), failovers=%u\n",
-                sub_shards, workers_forked, fleet_workers, fleet_steals,
-                (unsigned long long)spine_work,
-                (unsigned long long)sum_replayed, (unsigned long long)sum_enum, begun_slots,
-                (unsigned long long)sum_seg, (unsigned long long)max_seg, total_tasks,
-                (unsigned long long)critical,
-                critical == 0 ? 1.0 : (double)merged.stats.work / (double)critical,
-                failovers);
-        if (config.plan.faults.Enabled()) {
-          fprintf(stderr, "[parallel-exercise] %s\n",
-                  hw::FormatFaultStats(merged.fault_stats).c_str());
-        }
-      }
     }
     return merged;
   }
@@ -1703,6 +1688,8 @@ struct Engine::Impl {
   hw::FaultSchedule faults;
   trace::TraceBundle bundle;
   trace::BundleSink sink;
+  // Operator diagnostics: REVNIC_HEARTBEAT=1 streams exerciser progress.
+  const bool heartbeat;
   uint64_t next_state_id = 1;
   uint64_t event_seq = 1'000'000'000ull;  // disjoint from executor seq space
   std::set<uint32_t> static_bbs;

@@ -112,9 +112,6 @@ struct EngineConfig {
   // results stay byte-identical either way.
   FleetScheduler* fleet = nullptr;
   uint32_t fleet_job = 0;
-  // Suppress the engine's own REVNIC_PARALLEL_STATS stderr block; RunBatch
-  // sets this and prints one batch-level aggregation instead.
-  bool quiet_parallel_stats = false;
 };
 
 struct EngineStats {
@@ -141,8 +138,10 @@ struct EngineStats {
 static_assert(ListsEveryField<EngineStats>());
 
 // Parallel/distributed exercising diagnostics, populated whenever the staged
-// parallel architecture runs (!IsSequentialPlan(plan)). All figures are deterministic work units, not
-// wall-clock; REVNIC_PARALLEL_STATS=1 prints them to stderr. Runtime
+// parallel architecture runs (!IsSequentialPlan(plan)). All figures are
+// deterministic work units, not wall-clock; with REVNIC_PARALLEL_STATS=1,
+// driver_inspector prints them as a `[parallel-exercise]` line and RunBatch
+// as a `[batch-parallel]` block. The engine prints nothing. Runtime
 // diagnostic -- not serialized into checkpoints (merged checkpoint bytes stay
 // plan-shape independent within the guarantee grid).
 struct ParallelExerciseStats {
@@ -150,6 +149,7 @@ struct ParallelExerciseStats {
   uint64_t max_task_chain = 0;      // heaviest fan-out task (all its replicas)
   uint64_t critical_path = 0;       // spine_work + max_task_chain
   uint64_t sum_segment_work = 0;    // work landing in merged segments
+  uint64_t max_segment_work = 0;    // heaviest merged segment
   uint64_t replayed_prefix_work = 0;  // spine-prefix re-runs (restore fallback)
   uint64_t enum_work = 0;           // sub-shard enumeration re-run overhead
   uint32_t tasks = 0;               // fan-out tasks dispatched (steps x shards)

@@ -284,8 +284,7 @@ std::unique_ptr<Session> Session::LoadCheckpointFile(const std::string& path,
 
 namespace {
 
-// One aggregated REVNIC_PARALLEL_STATS block for the whole batch (the
-// engine's per-job print is suppressed by quiet_parallel_stats): per-driver
+// One aggregated REVNIC_PARALLEL_STATS block for the whole batch: per-driver
 // rows in input order, then the fleet totals with the deterministic virtual
 // makespans (core/fleet.h).
 void PrintBatchParallelStats(const BatchResult& batch) {
@@ -380,8 +379,6 @@ BatchResult RunBatch(const std::vector<BatchJob>& jobs, const BatchOptions& opti
         out.error = "job has no image";
       } else {
         EngineConfig cfg = eff[i];
-        // RunBatch reports one aggregated stats block after the join.
-        cfg.quiet_parallel_stats = true;
         if (fleet_jobs[i].image != nullptr) {
           cfg.fleet = fleet.get();
           cfg.fleet_job = static_cast<uint32_t>(i);
@@ -515,6 +512,10 @@ std::string ConfigFingerprint(const EngineConfig& c) {
   mix(c.pool.max_states);
   mix(c.solver.repair_iters);
   mix(c.solver.candidates_per_step);
+  mix(c.solver.enable_query_cache ? 1 : 0);
+  mix(c.solver.enable_independence ? 1 : 0);
+  mix(c.solver.max_cache_entries);
+  mix(c.solver.model_shelf_entries);
   char buf[20];
   snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(h));
   return buf;

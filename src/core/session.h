@@ -225,7 +225,7 @@ struct BatchOptions {
   // other parallel job runs on a private fleet. Scheduling is
   // placement-only -- merged bytes are pinned identical across lane counts
   // and process counts -- and RunBatch prints one aggregated
-  // REVNIC_PARALLEL_STATS block for the whole batch instead of one per job.
+  // REVNIC_PARALLEL_STATS block for the whole batch.
   std::optional<ExercisePlan> plan;
   // Invoked once per finished job, serialized by an internal mutex.
   std::function<void(const BatchJobResult&)> on_job_done;

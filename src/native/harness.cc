@@ -90,7 +90,7 @@ bool CleanParity(DriverId id, const NativeModule& module,
               " vs " + std::to_string(wire_nat.size()) + " wire frames)";
     return false;
   }
-  if (in_orig != in_nat || orig.os().rx_delivered() != nat.rx_delivered()) {
+  if (in_orig != in_nat || orig.rx_delivered() != nat.rx_delivered()) {
     *detail = "receive-path delivery diverges";
     return false;
   }
@@ -165,7 +165,7 @@ bool FaultedParity(DriverId id, const NativeModule& module,
     *detail = "faulted hardware I/O traces diverge";
     return false;
   }
-  if (orig.os().rx_delivered() != nat.rx_delivered()) {
+  if (orig.rx_delivered() != nat.rx_delivered()) {
     *detail = "faulted receive-path delivery diverges";
     return false;
   }
@@ -188,23 +188,16 @@ void FinishSide(RaceSideStats* out, double wall_ns, uint64_t cycles) {
   }
 }
 
-bool MeasureNative(DriverId id, const NativeModule& module,
-                   const synth::RecoveredModule& recovered, const RaceOptions& opts,
-                   RaceSideStats* out, std::string* error) {
-  auto dev = drivers::MakeDevice(id);
-  NativeKitosHost host(&module, &recovered, dev.get());
-  if (!host.Bind(error)) {
-    return false;
-  }
-  if (!host.Initialize()) {
-    *error = "compiled driver failed to initialize for measurement";
-    return false;
-  }
-  hw::Frame tx = TxFrame(opts.payload, 0x5C);
-  hw::Frame rx = RxFrame(opts.payload, 0x7E);
+// The timed loop, identical on both sides: one send per frame and, every
+// fourth frame, a broadcast receive drained through the ISR/DPC. `host` is
+// initialized; `dev` is the device model behind it.
+void PushFrames(os::MiniportHost& host, hw::NicDevice* dev, uint64_t frames, size_t payload,
+                RaceSideStats* out) {
+  hw::Frame tx = TxFrame(payload, 0x5C);
+  hw::Frame rx = RxFrame(payload, 0x7E);
   auto t0 = steady_clock::now();
   uint64_t c0 = HostCycles();
-  for (uint64_t i = 0; i < opts.native_frames; ++i) {
+  for (uint64_t i = 0; i < frames; ++i) {
     auto st = host.SendFrame(tx);
     if (st.has_value() && *st == os::kStatusSuccess) {
       ++out->tx_ok;
@@ -218,13 +211,28 @@ bool MeasureNative(DriverId id, const NativeModule& module,
   }
   uint64_t c1 = HostCycles();
   auto t1 = steady_clock::now();
-  out->frames = opts.native_frames;
+  out->frames = frames;
   out->rx_delivered += host.rx_delivered().size();
   host.rx_delivered().clear();
-  out->io_accesses = host.counters().io_total();
   out->bytes_copied = host.api_service().counters().bytes_moved + dev->stats().tx_bytes +
                       dev->stats().rx_bytes;
   FinishSide(out, ElapsedNs(t0, t1), c1 - c0);
+}
+
+bool MeasureNative(DriverId id, const NativeModule& module,
+                   const synth::RecoveredModule& recovered, const RaceOptions& opts,
+                   RaceSideStats* out, std::string* error) {
+  auto dev = drivers::MakeDevice(id);
+  NativeKitosHost host(&module, &recovered, dev.get());
+  if (!host.Bind(error)) {
+    return false;
+  }
+  if (!host.Initialize()) {
+    *error = "compiled driver failed to initialize for measurement";
+    return false;
+  }
+  PushFrames(host, dev.get(), opts.native_frames, opts.payload, out);
+  out->io_accesses = host.counters().io_total();
   return true;
 }
 
@@ -237,33 +245,10 @@ bool MeasureDbt(DriverId id, const RaceOptions& opts, RaceSideStats* out,
     *error = "original driver failed to initialize for measurement";
     return false;
   }
-  hw::Frame tx = TxFrame(opts.payload, 0x5C);
-  hw::Frame rx = RxFrame(opts.payload, 0x7E);
   uint64_t instrs0 = host.guest_instrs();
-  auto t0 = steady_clock::now();
-  uint64_t c0 = HostCycles();
-  for (uint64_t i = 0; i < opts.dbt_frames; ++i) {
-    auto st = host.SendFrame(tx);
-    if (st.has_value() && *st == os::kStatusSuccess) {
-      ++out->tx_ok;
-    }
-    if ((i & 3u) == 3u) {
-      dev->InjectReceive(rx);
-      host.DeliverInterrupts();
-      out->rx_delivered += host.os().rx_delivered().size();
-      host.os().rx_delivered().clear();
-    }
-  }
-  uint64_t c1 = HostCycles();
-  auto t1 = steady_clock::now();
-  out->frames = opts.dbt_frames;
-  out->rx_delivered += host.os().rx_delivered().size();
-  host.os().rx_delivered().clear();
+  PushFrames(host, dev.get(), opts.dbt_frames, opts.payload, out);
   out->io_accesses = io.total();
-  out->bytes_copied = host.os().counters().bytes_moved + dev->stats().tx_bytes +
-                      dev->stats().rx_bytes;
   out->guest_instrs = host.guest_instrs() - instrs0;
-  FinishSide(out, ElapsedNs(t0, t1), c1 - c0);
   return true;
 }
 

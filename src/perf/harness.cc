@@ -1,5 +1,7 @@
 #include "perf/harness.h"
 
+#include <algorithm>
+
 #include "drivers/native.h"
 #include "hw/counting.h"
 #include "os/winsim_host.h"
@@ -153,6 +155,25 @@ std::vector<size_t> DefaultPayloadSizes() {
   return {64, 128, 256, 384, 512, 640, 768, 896, 1024, 1152, 1280, 1408, 1472};
 }
 
+void ModelPacketCost(const PlatformProfile& profile, os::TargetOs os_profile, size_t frame_bytes,
+                     PerfPoint* point) {
+  double driver_cycles = point->io_accesses * profile.cycles_per_io +
+                         point->bytes_copied * profile.cycles_per_byte +
+                         point->guest_instrs * profile.cycles_per_instr;
+  double os_cycles = OsPacketCycles(profile, os_profile);
+  if (os_profile != os::TargetOs::kKitos) {
+    os_cycles += static_cast<double>(frame_bytes) * profile.os_per_byte_cycles;
+  }
+  double cpu_cycles = driver_cycles + point->stall_us * profile.cpu_mhz + os_cycles;
+  double cpu_us = cpu_cycles / profile.cpu_mhz;
+  double frame_bits = static_cast<double>(frame_bytes + 8 + 12) * 8;  // preamble + IFG
+  double wire_us = profile.link_mbps > 0 ? frame_bits / profile.link_mbps : 0;
+  double packet_us = profile.dma_overlap ? std::max(cpu_us, wire_us) : cpu_us + wire_us;
+  point->throughput_mbps = static_cast<double>(point->payload_bytes) * 8 / packet_us;
+  point->cpu_util = packet_us > 0 ? cpu_us / packet_us : 1.0;
+  point->driver_cpu_frac = cpu_cycles > 0 ? driver_cycles / cpu_cycles : 0;
+}
+
 SweepResult RunSweep(const SweepConfig& config, const PlatformProfile& profile,
                      const std::vector<size_t>& sizes) {
   SweepResult result;
@@ -194,21 +215,7 @@ SweepResult RunSweep(const SweepConfig& config, const PlatformProfile& profile,
     point.guest_instrs = sum.guest_instrs / n;
     point.stall_us = sum.stall_us / n;
 
-    double driver_cycles = point.io_accesses * profile.cycles_per_io +
-                           point.bytes_copied * profile.cycles_per_byte +
-                           point.guest_instrs * profile.cycles_per_instr;
-    double os_cycles = OsPacketCycles(profile, os_profile);
-    if (os_profile != os::TargetOs::kKitos) {
-      os_cycles += static_cast<double>(frame.size()) * profile.os_per_byte_cycles;
-    }
-    double cpu_cycles = driver_cycles + point.stall_us * profile.cpu_mhz + os_cycles;
-    double cpu_us = cpu_cycles / profile.cpu_mhz;
-    double frame_bits = static_cast<double>(frame.size() + 8 + 12) * 8;  // preamble + IFG
-    double wire_us = profile.link_mbps > 0 ? frame_bits / profile.link_mbps : 0;
-    double packet_us = profile.dma_overlap ? std::max(cpu_us, wire_us) : cpu_us + wire_us;
-    point.throughput_mbps = static_cast<double>(payload) * 8 / packet_us;
-    point.cpu_util = packet_us > 0 ? cpu_us / packet_us : 1.0;
-    point.driver_cpu_frac = cpu_cycles > 0 ? driver_cycles / cpu_cycles : 0;
+    ModelPacketCost(profile, os_profile, frame.size(), &point);
     result.points.push_back(point);
   }
   result.ok = true;

@@ -62,6 +62,13 @@ struct SweepResult {
 // Standard paper sweep: UDP payloads from 64 B up to 1472 B.
 std::vector<size_t> DefaultPayloadSizes();
 
+// The per-packet cost model every sweep shares: turns a point's averaged
+// ledger (io_accesses, bytes_copied, guest_instrs, stall_us) into its
+// throughput, CPU utilization and driver CPU share, charging the
+// `os_profile` network stack for one frame of `frame_bytes`.
+void ModelPacketCost(const PlatformProfile& profile, os::TargetOs os_profile, size_t frame_bytes,
+                     PerfPoint* point);
+
 SweepResult RunSweep(const SweepConfig& config, const PlatformProfile& profile,
                      const std::vector<size_t>& sizes = DefaultPayloadSizes());
 

@@ -1,6 +1,5 @@
 #include "perf/native.h"
 
-#include <algorithm>
 #include <chrono>
 
 #include "native/host.h"
@@ -62,19 +61,9 @@ SweepResult RunNativeMeasuredSweep(const NativeSweepInputs& inputs,
     point.stall_us = 0;      // stalls are template-stripped, as in the model
     point.host_ns = ns_sum / n;
 
-    // Same cycle model as RunSweep, kitos profile (no OS stack), with the
-    // instruction term replaced by the measured reality above.
-    double driver_cycles = point.io_accesses * profile.cycles_per_io +
-                           point.bytes_copied * profile.cycles_per_byte;
-    double os_cycles = OsPacketCycles(profile, os::TargetOs::kKitos);
-    double cpu_us = (driver_cycles + os_cycles) / profile.cpu_mhz;
-    double frame_bits = static_cast<double>(frame.size() + 8 + 12) * 8;
-    double wire_us = profile.link_mbps > 0 ? frame_bits / profile.link_mbps : 0;
-    double packet_us = profile.dma_overlap ? std::max(cpu_us, wire_us) : cpu_us + wire_us;
-    point.throughput_mbps = static_cast<double>(payload) * 8 / packet_us;
-    point.cpu_util = packet_us > 0 ? cpu_us / packet_us : 1.0;
-    point.driver_cpu_frac =
-        driver_cycles + os_cycles > 0 ? driver_cycles / (driver_cycles + os_cycles) : 0;
+    // The kitos profile (no OS stack), with the instruction term replaced
+    // by the measured reality above.
+    ModelPacketCost(profile, os::TargetOs::kKitos, frame.size(), &point);
     result.points.push_back(point);
   }
   result.ok = true;

@@ -1,10 +1,10 @@
 // Measured counterpart of perf::RunSweep: the same UDP size sweep, but the
 // per-packet ledger (register accesses, bytes copied, host wall time) comes
 // from actually executing the host-compiled kitos driver rather than from
-// the interpreter. Throughput still goes through the PlatformProfile cycle
-// model so the series is directly comparable with the modeled curves in
-// figs 2/3/6/7 -- with the guest-instruction term dropped (compiled code
-// runs at host speed; its real cost is reported as PerfPoint::host_ns).
+// the interpreter. Throughput still goes through perf::ModelPacketCost so
+// the series is directly comparable with the modeled curves in figs
+// 2/3/6/7 -- with the guest-instruction term zero (compiled code runs at
+// host speed; its real cost is reported as PerfPoint::host_ns).
 #ifndef REVNIC_PERF_NATIVE_H_
 #define REVNIC_PERF_NATIVE_H_
 
@@ -28,7 +28,7 @@ struct NativeSweepInputs {
 
 // Runs the sweep through native::NativeKitosHost. Bring-up or bind failure
 // yields {ok=false} like RunSweep does; toolchain availability and module
-// loading are the caller's concern (see core::NativeHarness).
+// loading are the caller's concern (see native::RunRace).
 SweepResult RunNativeMeasuredSweep(const NativeSweepInputs& inputs,
                                    const PlatformProfile& profile,
                                    const std::vector<size_t>& sizes = DefaultPayloadSizes());

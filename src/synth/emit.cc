@@ -7,7 +7,7 @@ namespace revnic::synth {
 namespace {
 
 // Entry-point roles and the stack-argument counts their template slots pass
-// (mirrors os::RecoveredDriverHost's CallRole call sites).
+// (mirrors the call sites of the shared protocol in os/miniport_host.cc).
 struct RoleSpec {
   os::EntryRole role;
   unsigned argc;

@@ -43,7 +43,7 @@ class RamPort {
   virtual void ReadRamBytes(uint32_t addr, uint8_t* out, size_t len) const = 0;
 };
 
-class MemoryMap : public RamPort {
+class MemoryMap final : public RamPort {
  public:
   // RAM occupies [0, ram_size). MMIO windows must lie outside RAM.
   explicit MemoryMap(uint32_t ram_size);

@@ -269,6 +269,39 @@ TEST(Session, CheckpointStoreSaltSeparatesDistinctCancelPolicies) {
   EXPECT_TRUE(collide_b->engine().cancelled);
 }
 
+TEST(Session, CheckpointStoreKeysEverySolverKnob) {
+  // The query cache, independence slicing, the cache size and the model
+  // shelf each change which models the solver returns or how much it
+  // searches, hence the exercised bytes, so configs that differ only there
+  // must not share a checkpoint. Each resumed engine's solver counters show
+  // whose exercise it got.
+  auto& store = core::CheckpointStore::Global();
+  const isa::Image& image = drivers::DriverImage(DriverId::kRtl8029);
+  const core::EngineConfig base = SmallConfig(DriverId::kRtl8029);
+  core::EngineConfig no_shelf = base;
+  no_shelf.solver.model_shelf_entries = 0;
+  core::EngineConfig no_cache = base;
+  no_cache.solver.enable_query_cache = false;
+  core::EngineConfig no_slicing = base;
+  no_slicing.solver.enable_independence = false;
+  core::EngineConfig tiny_cache = base;
+  tiny_cache.solver.max_cache_entries = 1;
+
+  const char* key = "session_test/solver_knobs";
+  symex::SolverStats a = store.Resume(key, image, base)->engine().solver_stats;
+  symex::SolverStats b = store.Resume(key, image, no_shelf)->engine().solver_stats;
+  symex::SolverStats c = store.Resume(key, image, no_cache)->engine().solver_stats;
+  symex::SolverStats d = store.Resume(key, image, no_slicing)->engine().solver_stats;
+  symex::SolverStats e = store.Resume(key, image, tiny_cache)->engine().solver_stats;
+  EXPECT_GT(a.cache_hits, 0u);
+  // Shelf replays are counted evaluations even when none hits.
+  EXPECT_EQ(b.shelf_hits, 0u);
+  EXPECT_NE(b.evals, a.evals);
+  EXPECT_EQ(c.cache_hits, 0u);
+  EXPECT_NE(d.components, a.components);
+  EXPECT_LT(e.cache_hits, a.cache_hits);
+}
+
 TEST(Session, CheckpointStoreEvictionNeverChangesResumedBytes) {
   auto& store = core::CheckpointStore::Global();
   const isa::Image& image = drivers::DriverImage(DriverId::kRtl8029);
