@@ -11,14 +11,14 @@ namespace revnic::native {
 // ---- SoRam: MemoryMap's RAM semantics over the .so's flat array ----
 
 uint32_t NativeKitosHost::SoRam::ReadRam(uint32_t addr, unsigned size) const {
-  if (base_ == nullptr || addr + size > size_ || addr + size < addr) {
+  if (!IsRam(addr, size)) {
     return 0;
   }
   return LoadLE(base_ + addr, size);
 }
 
 void NativeKitosHost::SoRam::WriteRam(uint32_t addr, unsigned size, uint32_t value) {
-  if (base_ == nullptr || addr + size > size_ || addr + size < addr) {
+  if (!IsRam(addr, size)) {
     return;
   }
   StoreLE(base_ + addr, value, size);

@@ -64,6 +64,9 @@ class NativeKitosHost : public os::MiniportHost {
       base_ = base;
       size_ = size;
     }
+    bool IsRam(uint32_t addr, uint32_t size) const {
+      return base_ != nullptr && addr + size <= size_ && addr + size >= addr;
+    }
     uint32_t ReadRam(uint32_t addr, unsigned size) const override;
     void WriteRam(uint32_t addr, unsigned size, uint32_t value) override;
     void WriteRamBytes(uint32_t addr, const uint8_t* data, size_t len) override;

@@ -59,6 +59,22 @@ std::string CompileCommand(const std::string& cc, const std::string& src,
   return cmd;
 }
 
+#if defined(__unix__) || defined(__APPLE__)
+// The work directory and the pid that created it. Never destroyed, so the
+// exit handler can read them after static destructors have run.
+const std::string* work_dir = nullptr;
+pid_t work_dir_owner = 0;
+
+// Removes the work directory at exit, in its creator only: a forked child
+// inherits the handler and must not delete its parent's directory.
+void RemoveWorkDir() {
+  if (::getpid() == work_dir_owner) {
+    std::error_code ec;
+    fs::remove_all(*work_dir, ec);
+  }
+}
+#endif
+
 }  // namespace
 
 std::string HostCompiler() {
@@ -75,10 +91,16 @@ std::string DefaultWorkDir() {
     }
 #if defined(__unix__) || defined(__APPLE__)
     fs::path d = base / ("revnic_native_" + std::to_string(::getpid()));
+    fs::create_directories(d, ec);
+    if (!ec) {
+      work_dir = new std::string(d.string());
+      work_dir_owner = ::getpid();
+      std::atexit(RemoveWorkDir);
+    }
 #else
     fs::path d = base / "revnic_native";
-#endif
     fs::create_directories(d, ec);
+#endif
     return d.string();
   }();
   return dir;

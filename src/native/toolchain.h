@@ -22,7 +22,8 @@ std::string HostCompiler();
 bool ToolchainAvailable(std::string* why = nullptr);
 
 // A process-unique scratch directory for compile artifacts; created lazily
-// under the system temp dir and reused for the life of the process.
+// under the system temp dir, reused for the life of the process and removed
+// when the process that created it exits normally.
 std::string DefaultWorkDir();
 
 // Compiles `source` (C11) into a shared object at `so_path` (intermediate

@@ -26,6 +26,7 @@
 #ifndef REVNIC_OS_MINIPORT_HOST_H_
 #define REVNIC_OS_MINIPORT_HOST_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <initializer_list>
 #include <memory>
@@ -40,8 +41,11 @@
 namespace revnic::os {
 
 // WinSim's GuestMem over a RAM port: the one adapter every host uses. It is
-// typed on the concrete port so that, for a final port class, WinSim's
-// byte-by-byte memory APIs (NdisMoveMemory) make direct calls.
+// typed on the concrete port so that, for a final port class, its accesses
+// are direct calls. Copy and Zero move whole chunks when the byte loop
+// would give the same bytes: both ranges wholly in RAM (no drop at RAM
+// end, no address wrap) and no forward overlap (src < dst < src + n, where
+// the byte loop re-reads bytes it wrote).
 template <typename Ram>
 class RamGuestMem final : public GuestMem {
  public:
@@ -49,6 +53,30 @@ class RamGuestMem final : public GuestMem {
   uint32_t Read(uint32_t addr, unsigned size) override { return ram_->ReadRam(addr, size); }
   void Write(uint32_t addr, unsigned size, uint32_t value) override {
     ram_->WriteRam(addr, size, value);
+  }
+  void Copy(uint32_t dst, uint32_t src, uint32_t n) override {
+    if (!ram_->IsRam(dst, n) || !ram_->IsRam(src, n) || (src < dst && dst - src < n)) {
+      GuestMem::Copy(dst, src, n);
+      return;
+    }
+    // Front to back, one chunk at a time: with dst < src, a chunk's writes
+    // end before the next chunk's reads begin, as in the byte loop.
+    uint8_t chunk[256];
+    for (uint32_t done = 0; done < n; done += sizeof(chunk)) {
+      uint32_t len = std::min<uint32_t>(n - done, sizeof(chunk));
+      ram_->ReadRamBytes(src + done, chunk, len);
+      ram_->WriteRamBytes(dst + done, chunk, len);
+    }
+  }
+  void Zero(uint32_t dst, uint32_t n) override {
+    if (!ram_->IsRam(dst, n)) {
+      GuestMem::Zero(dst, n);
+      return;
+    }
+    static constexpr uint8_t kZeros[256] = {};
+    for (uint32_t done = 0; done < n; done += sizeof(kZeros)) {
+      ram_->WriteRamBytes(dst + done, kZeros, std::min<uint32_t>(n - done, sizeof(kZeros)));
+    }
   }
 
  private:

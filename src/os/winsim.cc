@@ -183,17 +183,13 @@ ApiOutcome WinSim::HandleApi(uint32_t id, const std::vector<uint32_t>& args, Gue
       out.ret = kStatusSuccess;
       break;
     case kNdisZeroMemory: {
-      for (uint32_t i = 0; i < arg(1); ++i) {
-        mem.Write(arg(0) + i, 1, 0);
-      }
+      mem.Zero(arg(0), arg(1));
       counters_.bytes_moved += arg(1);
       out.ret = kStatusSuccess;
       break;
     }
     case kNdisMoveMemory: {
-      for (uint32_t i = 0; i < arg(2); ++i) {
-        mem.Write(arg(0) + i, 1, mem.Read(arg(1) + i, 1));
-      }
+      mem.Copy(arg(0), arg(1), arg(2));
       counters_.bytes_moved += arg(2);
       out.ret = kStatusSuccess;
       break;

@@ -38,6 +38,18 @@ class GuestMem {
   virtual ~GuestMem() = default;
   virtual uint32_t Read(uint32_t addr, unsigned size) = 0;
   virtual void Write(uint32_t addr, unsigned size, uint32_t value) = 0;
+  // NdisMoveMemory and NdisZeroMemory: a forward loop of byte accesses,
+  // with 32-bit address wrap. An override must give the same bytes.
+  virtual void Copy(uint32_t dst, uint32_t src, uint32_t n) {
+    for (uint32_t i = 0; i < n; ++i) {
+      Write(dst + i, 1, Read(src + i, 1));
+    }
+  }
+  virtual void Zero(uint32_t dst, uint32_t n) {
+    for (uint32_t i = 0; i < n; ++i) {
+      Write(dst + i, 1, 0);
+    }
+  }
 };
 
 // Guest memory layout constants.

@@ -755,11 +755,8 @@ Model EvalTape::ToModel(std::span<const uint32_t> slots) const {
   return model;
 }
 
-uint32_t EvalTape::Run(size_t i, const uint32_t* slots) {
-  const Root& r = roots_[i];
-  uint32_t* v = values_.data();
-  const Op* end = ops_.data() + r.op_end;
-  for (const Op* op = ops_.data() + r.op_begin; op != end; ++op) {
+void EvalTape::RunOps(const Op* op, const Op* end, uint32_t* v, const uint32_t* slots) {
+  for (; op != end; ++op) {
     uint32_t x;
     switch (op->code) {
       case kStepSym:
@@ -783,7 +780,12 @@ uint32_t EvalTape::Run(size_t i, const uint32_t* slots) {
     }
     v[op->dst] = x;
   }
-  return v[r.result];
+}
+
+uint32_t EvalTape::Run(size_t i, const uint32_t* slots) {
+  const Root& r = roots_[i];
+  RunOps(ops_.data() + r.op_begin, ops_.data() + r.op_end, values_.data(), slots);
+  return values_[r.result];
 }
 
 bool EvalTape::AllTrue(const uint32_t* slots) {
@@ -793,6 +795,60 @@ bool EvalTape::AllTrue(const uint32_t* slots) {
     }
   }
   return true;
+}
+
+uint32_t EvalTape::Cone(size_t i, uint32_t slot) {
+  const Root& r = roots_[i];
+  if (cone_of_.empty()) {
+    cone_of_.assign(root_slots_.size(), 0);
+    in_cone_.assign(values_.size(), 0);
+  }
+  const uint32_t* base = root_slots_.data();
+  const uint32_t* pos = std::lower_bound(base + r.slot_begin, base + r.slot_end, slot);
+  assert(pos != base + r.slot_end && *pos == slot);
+  uint32_t& handle = cone_of_[pos - base];
+  if (handle != 0) {
+    return handle - 1;
+  }
+  // One forward pass: an op is in the cone iff it is `slot`'s symbol step
+  // or reads a value in the cone. Every operand is a constant (never
+  // flagged) or an earlier op of the same root (flagged in this pass), so
+  // flags left by other cones are never read.
+  ConeRange cone{static_cast<uint32_t>(cone_ops_.size()), 0, r.result};
+  uint8_t* in_cone = in_cone_.data();
+  for (const Op* op = ops_.data() + r.op_begin; op != ops_.data() + r.op_end; ++op) {
+    uint8_t reads;
+    switch (op->code) {
+      case kStepSym:
+        reads = op->a == slot;
+        break;
+      case kStepExtract:
+      case kStepZExt:
+      case kStepSExt:  // b is a shift or a width, not a value
+        reads = in_cone[op->a];
+        break;
+      case kStepSelect:
+        reads = in_cone[op->a] | in_cone[op->b] | in_cone[op->c];
+        break;
+      default:
+        reads = in_cone[op->a] | in_cone[op->b];
+        break;
+    }
+    in_cone[op->dst] = reads;
+    if (reads != 0) {
+      cone_ops_.push_back(*op);
+    }
+  }
+  cone.op_end = static_cast<uint32_t>(cone_ops_.size());
+  handle = static_cast<uint32_t>(cones_.size()) + 1;
+  cones_.push_back(cone);
+  return handle - 1;
+}
+
+uint32_t EvalTape::RunCone(uint32_t cone, const uint32_t* slots) {
+  const ConeRange& c = cones_[cone];
+  RunOps(cone_ops_.data() + c.op_begin, cone_ops_.data() + c.op_end, values_.data(), slots);
+  return values_[c.result];
 }
 
 namespace {

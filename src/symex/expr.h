@@ -274,6 +274,10 @@ uint32_t Eval(const ExprRef& e, const Model& model);
 // instead of a std::map lookup. Run(i, slots) returns exactly what
 // Eval(root i, model) returns for the model mapping syms()[s] to slots[s]:
 // every op is the same pure fold Eval applies.
+//
+// A search that changes one slot at a time re-runs only that slot's cone:
+// the ops of a root that read the slot, directly or through another op.
+// Every other value of the root depends only on slots that did not change.
 class EvalTape {
  public:
   explicit EvalTape(std::span<const ExprRef> roots);
@@ -301,6 +305,14 @@ class EvalTape {
   // True iff every root is nonzero; stops at the first zero.
   bool AllTrue(const uint32_t* slots);
 
+  // Handle of the cone of (root i, `slot`), where `slot` is one of
+  // root_slots(i). The cone is built on the first request for it.
+  uint32_t Cone(size_t i, uint32_t slot);
+  // Re-runs the cone's ops and returns its root's value. Equal to Run(i,
+  // slots) when root i's values were last computed on slots that equal
+  // `slots` everywhere except, possibly, at the cone's slot.
+  uint32_t RunCone(uint32_t cone, const uint32_t* slots);
+
  private:
   // One post-order step. `code` is a BinOp, or one of the unary/select
   // codes numbered past the BinOps (expr.cc). Operands index values_;
@@ -314,6 +326,14 @@ class EvalTape {
     uint32_t op_begin, op_end, result;
     uint32_t slot_begin, slot_end, const_begin, const_end;
   };
+  // Ops [op_begin, op_end) of cone_ops_, and the root's result value.
+  struct ConeRange {
+    uint32_t op_begin, op_end, result;
+  };
+
+  // The op loop behind Run and RunCone: ops write values_ in tape order.
+  [[gnu::always_inline]] static inline void RunOps(const Op* op, const Op* end, uint32_t* v,
+                                                   const uint32_t* slots);
 
   std::vector<Op> ops_;
   std::vector<uint32_t> values_;  // one per compiled node; constants preloaded
@@ -321,6 +341,13 @@ class EvalTape {
   std::vector<uint32_t> root_slots_;
   std::vector<uint32_t> root_consts_;
   std::vector<Root> roots_;
+  // Cones, all empty until the first Cone() call. cone_of_ runs parallel
+  // to root_slots_ and holds each (root, slot)'s handle plus one, 0 while
+  // unbuilt; in_cone_ is Cone()'s scratch flag per value.
+  std::vector<Op> cone_ops_;
+  std::vector<ConeRange> cones_;
+  std::vector<uint32_t> cone_of_;
+  std::vector<uint8_t> in_cone_;
 };
 
 // Collects the symbolic variable ids appearing in `e`. O(|syms|): reads the

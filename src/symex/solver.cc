@@ -1,6 +1,7 @@
 #include "symex/solver.h"
 
 #include <algorithm>
+#include <bit>
 #include <map>
 #include <numeric>
 
@@ -204,28 +205,36 @@ void Propagate(const ExprRef& c, bool polarity, std::map<uint32_t, VarDomain>* d
   }
 }
 
+// A component is first a list of pointers into the caller's constraints;
+// only a cache miss copies it into the ExprRefs the cache keeps.
+using Group = std::vector<const ExprRef*>;
+
+const ExprRef& Ref(const ExprRef& e) { return e; }
+const ExprRef& Ref(const ExprRef* e) { return *e; }
+
 // Canonical component order: interned-node hash, ties broken by address
 // (stable within a process since equal nodes share one interned object).
-void CanonicalSort(std::vector<ExprRef>* group) {
-  std::sort(group->begin(), group->end(), [](const ExprRef& x, const ExprRef& y) {
-    return x->hash != y->hash ? x->hash < y->hash : x.get() < y.get();
+void CanonicalSort(Group* group) {
+  std::sort(group->begin(), group->end(), [](const ExprRef* x, const ExprRef* y) {
+    return (*x)->hash != (*y)->hash ? (*x)->hash < (*y)->hash : x->get() < y->get();
   });
 }
 
-uint64_t Fingerprint(const std::vector<ExprRef>& group) {
+template <typename Constraints>
+uint64_t Fingerprint(const Constraints& group) {
   uint64_t fp = 0xCBF29CE484222325ull;
-  for (const ExprRef& c : group) {
-    fp = Fnv1a(&c->hash, sizeof(c->hash), fp);
+  for (const auto& c : group) {
+    fp = Fnv1a(&Ref(c)->hash, sizeof(Ref(c)->hash), fp);
   }
   return fp;
 }
 
-bool SameConstraints(const std::vector<ExprRef>& a, const std::vector<ExprRef>& b) {
+bool SameConstraints(const std::vector<ExprRef>& a, const Group& b) {
   if (a.size() != b.size()) {
     return false;
   }
   for (size_t i = 0; i < a.size(); ++i) {
-    if (!Expr::Equal(a[i], b[i])) {
+    if (!Expr::Equal(a[i], *b[i])) {
       return false;
     }
   }
@@ -235,6 +244,11 @@ bool SameConstraints(const std::vector<ExprRef>& a, const std::vector<ExprRef>& 
 }  // namespace
 
 Verdict Solver::CheckSat(ConstraintView constraints, Model* model, const Model* hint) {
+  return CheckConjunction(constraints, nullptr, model, hint);
+}
+
+Verdict Solver::CheckConjunction(ConstraintView constraints, const ExprRef* extra, Model* model,
+                                 const Model* hint) {
   ++stats_.queries;
   if (model != nullptr) {
     model->clear();
@@ -242,17 +256,24 @@ Verdict Solver::CheckSat(ConstraintView constraints, Model* model, const Model* 
 
   // Fast scan: constant constraints decide themselves; symbol-free symbolic
   // leftovers (which the simplifier normally folds away) evaluate directly.
-  std::vector<ExprRef> work;
-  work.reserve(constraints.size());
-  for (const ExprRef& c : constraints) {
+  Group work;
+  work.reserve(constraints.size() + 1);
+  auto scan = [&work](const ExprRef& c) {
     if (c->IsConst() || c->syms->empty()) {
-      if ((c->IsConst() ? c->value : EvalTape({&c, 1}).Run(0, nullptr)) == 0) {
-        ++stats_.unsat;
-        return Verdict::kUnsat;
-      }
-      continue;
+      return (c->IsConst() ? c->value : EvalTape({&c, 1}).Run(0, nullptr)) != 0;
     }
-    work.push_back(c);
+    work.push_back(&c);
+    return true;
+  };
+  for (const ExprRef& c : constraints) {
+    if (!scan(c)) {
+      ++stats_.unsat;
+      return Verdict::kUnsat;
+    }
+  }
+  if (extra != nullptr && !scan(*extra)) {
+    ++stats_.unsat;
+    return Verdict::kUnsat;
   }
   if (work.empty()) {
     ++stats_.sat;
@@ -264,7 +285,7 @@ Verdict Solver::CheckSat(ConstraintView constraints, Model* model, const Model* 
   // conjunction is sat iff every component is, and component models merge
   // without interference -- so each component can be solved and cached on
   // its own.
-  std::vector<std::vector<ExprRef>> groups;
+  std::vector<Group> groups;
   if (!options_.enable_independence) {
     groups.push_back(std::move(work));
   } else {
@@ -279,7 +300,7 @@ Verdict Solver::CheckSat(ConstraintView constraints, Model* model, const Model* 
     };
     std::map<uint32_t, size_t> sym_owner;  // sym id -> representative constraint
     for (size_t i = 0; i < work.size(); ++i) {
-      for (uint32_t sym : *work[i]->syms) {
+      for (uint32_t sym : *(*work[i])->syms) {
         auto [it, fresh] = sym_owner.emplace(sym, i);
         if (!fresh) {
           parent[find(i)] = find(it->second);
@@ -329,7 +350,7 @@ Verdict Solver::CheckSat(ConstraintView constraints, Model* model, const Model* 
   return Verdict::kSat;
 }
 
-Verdict Solver::SolveGroupCached(std::vector<ExprRef> group, Model* model, const Model* hint) {
+Verdict Solver::SolveGroupCached(Group group, Model* model, const Model* hint) {
   CanonicalSort(&group);
   uint64_t fp = 0;
   if (options_.enable_query_cache) {
@@ -348,9 +369,11 @@ Verdict Solver::SolveGroupCached(std::vector<ExprRef> group, Model* model, const
       // evaluation of the hint, then a full hint-seeded solve -- exactly
       // what a cache-free solver would have done. Definite outcomes upgrade
       // the cached entry so the whole run benefits; only hintless repeats
-      // are answered from the cache.
+      // are answered from the cache. The entry's constraints equal the
+      // group's node for node, so they stand in for it.
       if (hint != nullptr) {
-        EvalTape tape(group);
+        const std::vector<ExprRef>& constraints = it->second.constraints;
+        EvalTape tape(constraints);
         std::vector<uint32_t> trial = tape.Slots(*hint);
         ++stats_.evals;
         if (tape.AllTrue(trial.data())) {
@@ -365,7 +388,7 @@ Verdict Solver::SolveGroupCached(std::vector<ExprRef> group, Model* model, const
         }
         ++stats_.cache_misses;
         Model found;
-        Verdict v = SolveGroup(group, &tape, &found, hint);
+        Verdict v = SolveGroup(constraints, &tape, &found, hint);
         if (v != Verdict::kUnknown) {
           it->second.verdict = v;
           if (v == Verdict::kSat) {
@@ -383,9 +406,14 @@ Verdict Solver::SolveGroupCached(std::vector<ExprRef> group, Model* model, const
     }
   }
   ++stats_.cache_misses;
+  std::vector<ExprRef> constraints;
+  constraints.reserve(group.size());
+  for (const ExprRef* c : group) {
+    constraints.push_back(*c);
+  }
   Model found;
-  EvalTape tape(group);
-  Verdict v = SolveGroup(group, &tape, &found, hint);
+  EvalTape tape(constraints);
+  Verdict v = SolveGroup(constraints, &tape, &found, hint);
   if (v == Verdict::kSat) {
     ShelveModel(found);
   }
@@ -394,7 +422,7 @@ Verdict Solver::SolveGroupCached(std::vector<ExprRef> group, Model* model, const
       cache_.clear();  // wholesale reset; refills from the live working set
     }
     CacheEntry entry;
-    entry.constraints = std::move(group);
+    entry.constraints = std::move(constraints);
     entry.verdict = v;
     if (v == Verdict::kSat) {
       entry.model = found;
@@ -542,9 +570,14 @@ Verdict Solver::SolveGroup(const std::vector<ExprRef>& constraints, EvalTape* ta
 
 Verdict Solver::Search(EvalTape* tape, std::vector<uint32_t> seed, Model* model) {
   // WalkSAT-style local repair with incremental evaluation: changing one
-  // variable only re-runs the tapes of the constraints that read its slot.
-  // Driver constraints (comparison/mask chains) converge in a handful of
-  // steps.
+  // variable only re-runs, in each constraint that reads its slot, the
+  // slot's cone. Driver constraints (comparison/mask chains) converge in a
+  // handful of steps.
+  //
+  // Invariant: after the full runs below and after every commit, each
+  // constraint's tape values are those of `current`. Scoring a candidate
+  // for `var` changes only the cones of `var`, and the commit re-runs
+  // them at the chosen value, so a cone run is always exact.
   const size_t n = tape->num_roots();
   std::vector<std::vector<size_t>> slot_to_cons(tape->syms().size());
   for (size_t i = 0; i < n; ++i) {
@@ -566,6 +599,14 @@ Verdict Solver::Search(EvalTape* tape, std::vector<uint32_t> seed, Model* model)
 
   size_t best_unsat = unsat_list.size();
   size_t stagnant = 0;
+  std::vector<uint32_t> cones;
+  // Candidate values scored in the current step, open-addressed; an entry
+  // carries its step number, so a new step clears nothing. A step scores
+  // at most candidates_per_step + 11 values (7 per constant until the
+  // budget is spent, then 5), so the table stays at most half full.
+  const size_t scored_mask = std::bit_ceil(2 * (options_.candidates_per_step + 11)) - 1;
+  std::vector<uint32_t> scored_value(scored_mask + 1);
+  std::vector<uint32_t> scored_step(scored_mask + 1, 0);
   for (size_t iter = 0; iter < options_.repair_iters && !unsat_list.empty(); ++iter) {
     // Plateau exit: most satisfiable queries converge within a few steps;
     // burning the full budget on (usually unsat) stragglers dominates cost.
@@ -582,6 +623,10 @@ Verdict Solver::Search(EvalTape* tape, std::vector<uint32_t> seed, Model* model)
     }
     uint32_t var = slots[rng_.Below(static_cast<uint32_t>(slots.size()))];
     const std::vector<size_t>& affected = slot_to_cons[var];
+    cones.clear();
+    for (size_t ci : affected) {
+      cones.push_back(tape->Cone(ci, var));
+    }
 
     uint32_t original = current[var];
     // Delta score of assigning `v`: newly-satisfied minus newly-violated
@@ -589,10 +634,10 @@ Verdict Solver::Search(EvalTape* tape, std::vector<uint32_t> seed, Model* model)
     auto delta_of = [&](uint32_t v) -> int64_t {
       current[var] = v;
       int64_t delta = 0;
-      for (size_t ci : affected) {
+      for (size_t k = 0; k < affected.size(); ++k) {
         ++stats_.evals;
-        bool now = tape->Run(ci, current.data()) != 0;
-        delta += static_cast<int64_t>(now) - static_cast<int64_t>(sat[ci]);
+        bool now = tape->RunCone(cones[k], current.data()) != 0;
+        delta += static_cast<int64_t>(now) - static_cast<int64_t>(sat[affected[k]]);
       }
       current[var] = original;
       return delta;
@@ -600,10 +645,24 @@ Verdict Solver::Search(EvalTape* tape, std::vector<uint32_t> seed, Model* model)
 
     uint32_t best_value = original;
     int64_t best_delta = 0;
+    const uint32_t step = static_cast<uint32_t>(iter) + 1;
     auto consider = [&](uint32_t v) {
       if (v == original) {
         return;
       }
+      // A value scored before in this step cannot win: the best delta is
+      // already at least its delta, and only a strictly larger one wins.
+      // It still counts as evaluated: `evals` counts logical evaluations.
+      size_t h = (v * 0x9E3779B1u >> 16) & scored_mask;
+      while (scored_step[h] == step && scored_value[h] != v) {
+        h = (h + 1) & scored_mask;
+      }
+      if (scored_step[h] == step) {
+        stats_.evals += affected.size();
+        return;
+      }
+      scored_step[h] = step;
+      scored_value[h] = v;
       int64_t d = delta_of(v);
       if (d > best_delta) {
         best_delta = d;
@@ -635,9 +694,9 @@ Verdict Solver::Search(EvalTape* tape, std::vector<uint32_t> seed, Model* model)
                                             : rng_.Next32());  // plateau escape
     current[var] = chosen;
     // Commit: update sat flags for affected constraints.
-    for (size_t ci : affected) {
+    for (size_t k = 0; k < affected.size(); ++k) {
       ++stats_.evals;
-      sat[ci] = tape->Run(ci, current.data()) != 0;
+      sat[affected[k]] = tape->RunCone(cones[k], current.data()) != 0;
     }
     unsat_list.clear();
     for (size_t i = 0; i < n; ++i) {
@@ -784,15 +843,12 @@ Verdict Solver::MayBeTrue(ConstraintView constraints, const ExprRef& cond, Model
     }
     return Verdict::kUnsat;
   }
-  std::vector<ExprRef> all(constraints.begin(), constraints.end());
-  all.push_back(cond);
-  return CheckSat(all, model, hint);
+  return CheckConjunction(constraints, &cond, model, hint);
 }
 
 bool Solver::MustBeTrue(ConstraintView constraints, const ExprRef& cond, ExprContext* ctx) {
-  std::vector<ExprRef> all(constraints.begin(), constraints.end());
-  all.push_back(ctx->Not(cond));
-  return CheckSat(all, nullptr) == Verdict::kUnsat;
+  ExprRef negated = ctx->Not(cond);
+  return CheckConjunction(constraints, &negated, nullptr, nullptr) == Verdict::kUnsat;
 }
 
 }  // namespace revnic::symex

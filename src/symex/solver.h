@@ -139,13 +139,18 @@ class Solver {
     Model model;  // valid iff verdict == kSat
   };
 
+  // CheckSat of `constraints` and, when non-null, `extra` after them,
+  // without copying either.
+  Verdict CheckConjunction(ConstraintView constraints, const ExprRef* extra, Model* model,
+                           const Model* hint);
   // Runs the propagation/search pipeline on one component; `tape` is the
   // component compiled once, and every candidate assignment is evaluated on
   // it.
   Verdict SolveGroup(const std::vector<ExprRef>& constraints, EvalTape* tape, Model* model,
                      const Model* hint);
-  // SolveGroup behind the fingerprint cache and the model shelf.
-  Verdict SolveGroupCached(std::vector<ExprRef> group, Model* model, const Model* hint);
+  // SolveGroup behind the fingerprint cache and the model shelf. `group`
+  // points into the query's constraints.
+  Verdict SolveGroupCached(std::vector<const ExprRef*> group, Model* model, const Model* hint);
   // Local repair from `seed`, a slot vector over tape->syms().
   Verdict Search(EvalTape* tape, std::vector<uint32_t> seed, Model* model);
   void ShelveModel(const Model& model);

@@ -206,5 +206,54 @@ TEST_F(MiniportHostTest, HaltCallsTheHaltRoleOnce) {
   EXPECT_FALSE(host_.SendFrame(hw::Frame(60)).has_value());  // halted
 }
 
+// GuestMem's own byte loops (NdisMoveMemory, NdisZeroMemory) over a
+// MemoryMap: what RamGuestMem's bulk paths must reproduce byte for byte.
+class ByteLoopMem : public os::GuestMem {
+ public:
+  explicit ByteLoopMem(vm::MemoryMap* mm) : mm_(mm) {}
+  uint32_t Read(uint32_t addr, unsigned size) override { return mm_->ReadRam(addr, size); }
+  void Write(uint32_t addr, unsigned size, uint32_t value) override {
+    mm_->WriteRam(addr, size, value);
+  }
+
+ private:
+  vm::MemoryMap* mm_;
+};
+
+TEST(RamGuestMem, BulkCopyAndZeroGiveTheByteLoopsBytes) {
+  constexpr uint32_t kRam = 4096;
+  struct Case {
+    uint32_t dst, src, n;
+    const char* what;
+  };
+  const Case cases[] = {
+      {0x100, 0x600, 300, "disjoint"},
+      {0x110, 0x100, 700, "forward overlap: the byte loop repeats the source's first 16 bytes"},
+      {0x100, 0x10A, 1000, "backward overlap across chunks"},
+      {0x200, 0x200, 64, "same range"},
+      {0x100, 0x100 + 600, 600, "adjacent"},
+      {kRam - 40, 0x100, 100, "dst crosses RAM end: the tail is dropped"},
+      {0x100, kRam - 40, 100, "src crosses RAM end: the tail reads 0"},
+      {0xFFFFFFF0u, 0x100, 64, "dst wraps past 2^32 into low RAM"},
+      {0x100, 0xFFFFFFF0u, 64, "src wraps past 2^32"},
+      {0x100, 0x200, 0, "empty"},
+  };
+  for (const Case& c : cases) {
+    vm::MemoryMap bulk_ram(kRam);
+    vm::MemoryMap loop_ram(kRam);
+    for (uint32_t i = 0; i < kRam; ++i) {
+      bulk_ram.mutable_ram()[i] = loop_ram.mutable_ram()[i] = static_cast<uint8_t>(i * 37 + 11);
+    }
+    os::RamGuestMem<vm::MemoryMap> bulk(&bulk_ram);
+    ByteLoopMem loop(&loop_ram);
+    bulk.Copy(c.dst, c.src, c.n);
+    loop.Copy(c.dst, c.src, c.n);
+    EXPECT_EQ(std::memcmp(bulk_ram.ram(), loop_ram.ram(), kRam), 0) << "copy, " << c.what;
+    bulk.Zero(c.dst, c.n);
+    loop.Zero(c.dst, c.n);
+    EXPECT_EQ(std::memcmp(bulk_ram.ram(), loop_ram.ram(), kRam), 0) << "zero, " << c.what;
+  }
+}
+
 }  // namespace
 }  // namespace revnic

@@ -7,8 +7,12 @@
 // (with the probe's reason) rather than fail; the ABI-surface checks on the
 // emitted source run everywhere.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cstdlib>
+#include <filesystem>
 #include <string>
+#include <vector>
 
 #include "core/session.h"
 #include "drivers/drivers.h"
@@ -124,6 +128,56 @@ TEST(NativeToolchain, ProbeIsStable) {
   bool second = native::ToolchainAvailable(&b);
   EXPECT_EQ(first, second);
   EXPECT_EQ(a, b);
+}
+
+// A process that compiles removes its work directory when it exits. The
+// threadsafe death-test style re-executes this binary to run the statement,
+// so the child is a fresh process whose TMPDIR is `dir` from its start; any
+// revnic_native_* entry left under `dir` is a leak.
+TEST(NativeWorkDirDeathTest, CompilingProcessLeavesNoWorkDirBehind) {
+  namespace fs = std::filesystem;
+  std::string why;
+  if (!native::ToolchainAvailable(&why)) {
+    GTEST_SKIP() << "no native toolchain: " << why;
+  }
+  fs::path dir = fs::temp_directory_path() / ("revnic_workdir_test_" + std::to_string(::getpid()));
+  fs::create_directories(dir);
+  const char* saved = std::getenv("TMPDIR");
+  std::string saved_tmpdir = saved != nullptr ? saved : "";
+  ::setenv("TMPDIR", dir.c_str(), 1);
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        std::string error;
+        bool ok = native::CompileSharedObject("int revnic_workdir_probe(void) { return 1; }\n",
+                                              native::DefaultWorkDir() + "/probe_child.so",
+                                              &error);
+        std::exit(ok && fs::is_regular_file(native::DefaultWorkDir() + "/probe_child.so") ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
+  if (saved != nullptr) {
+    ::setenv("TMPDIR", saved_tmpdir.c_str(), 1);
+  } else {
+    ::unsetenv("TMPDIR");
+  }
+  std::vector<std::string> left;
+  for (const fs::directory_entry& entry : fs::recursive_directory_iterator(dir)) {
+    if (entry.path().filename().string().rfind("revnic_native_", 0) == 0) {
+      left.push_back(entry.path().string());
+    }
+  }
+  EXPECT_TRUE(left.empty()) << left.size() << " left, first " << left.front();
+  fs::remove_all(dir);
+}
+
+// A forked child inherits the exit handler but not the directory: its exit
+// must leave the parent's work directory in place.
+TEST(NativeWorkDirDeathTest, ForkedChildLeavesItsParentsWorkDir) {
+  std::string dir = native::DefaultWorkDir();
+  ASSERT_TRUE(std::filesystem::is_directory(dir));
+  ::testing::GTEST_FLAG(death_test_style) = "fast";
+  EXPECT_EXIT(std::exit(0), ::testing::ExitedWithCode(0), "");
+  EXPECT_TRUE(std::filesystem::is_directory(dir));
 }
 
 }  // namespace

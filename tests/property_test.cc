@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <memory>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "isa/assembler.h"
@@ -395,20 +396,20 @@ void WalkConstants(const symex::ExprRef& e, std::set<uint32_t>* out) {
   WalkConstants(e->c, out);
 }
 
-class EvalTapeDifferential : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(EvalTapeDifferential, TapeMatchesTreeEval) {
-  Rng rng(GetParam() * 0x9E3779B1u + 7);
-  symex::ExprContext ctx;
+// Random roots over 12 fresh symbols (three per width, ids in `sym_ids`):
+// every BinOp at every width, twice, then random structure on top.
+std::vector<symex::ExprRef> RandomTapeRoots(Rng* rng_ptr, symex::ExprContext* ctx_ptr,
+                                            std::vector<uint32_t>* sym_ids) {
+  Rng& rng = *rng_ptr;
+  symex::ExprContext& ctx = *ctx_ptr;
   const uint8_t kWidths[] = {1, 8, 16, 32};
   // pools[w]: live values of width kWidths[w]; every pool starts with fresh
   // symbols so no node folds to a constant.
   std::vector<symex::ExprRef> pools[4];
-  std::vector<uint32_t> sym_ids;
   for (int w = 0; w < 4; ++w) {
     for (int k = 0; k < 3; ++k) {
       symex::ExprRef v = ctx.Sym(StrFormat("t%d_%d", w, k), kWidths[w]);
-      sym_ids.push_back(v->sym_id);
+      sym_ids->push_back(v->sym_id);
       pools[w].push_back(v);
     }
   }
@@ -469,6 +470,39 @@ TEST_P(EvalTapeDifferential, TapeMatchesTreeEval) {
   for (const auto& pool : pools) {
     roots.insert(roots.end(), pool.begin(), pool.end());
   }
+  return roots;
+}
+
+// A model over `sym_ids` that leaves some symbols unmapped (they read 0),
+// and maps others to 0, to small values (shifts past the width, tiny
+// divisors) or to values wider than the symbol (Eval masks them).
+symex::Model RandomTapeModel(Rng* rng, const std::vector<uint32_t>& sym_ids) {
+  symex::Model model;
+  for (uint32_t sym : sym_ids) {
+    switch (rng->Below(5)) {
+      case 0:
+        break;
+      case 1:
+        model[sym] = 0;
+        break;
+      case 2:
+        model[sym] = rng->Below(40);
+        break;
+      default:
+        model[sym] = rng->Next32();
+        break;
+    }
+  }
+  return model;
+}
+
+class EvalTapeDifferential : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(EvalTapeDifferential, TapeMatchesTreeEval) {
+  Rng rng(GetParam() * 0x9E3779B1u + 7);
+  symex::ExprContext ctx;
+  std::vector<uint32_t> sym_ids;
+  std::vector<symex::ExprRef> roots = RandomTapeRoots(&rng, &ctx, &sym_ids);
   symex::EvalTape tape(roots);
   ASSERT_EQ(tape.num_roots(), roots.size());
   for (size_t i = 0; i < roots.size(); ++i) {
@@ -486,22 +520,7 @@ TEST_P(EvalTapeDifferential, TapeMatchesTreeEval) {
   }
 
   for (int trial = 0; trial < 24; ++trial) {
-    symex::Model model;
-    for (uint32_t sym : sym_ids) {
-      switch (rng.Below(5)) {
-        case 0:
-          break;  // unmapped: reads 0
-        case 1:
-          model[sym] = 0;
-          break;
-        case 2:
-          model[sym] = rng.Below(40);  // small: shifts past the width, tiny divisors
-          break;
-        default:
-          model[sym] = rng.Next32();  // wider than the symbol: Eval masks it
-          break;
-      }
-    }
+    symex::Model model = RandomTapeModel(&rng, sym_ids);
     std::vector<uint32_t> slots = tape.Slots(model);
     bool all_true = true;
     // Odd trials run the roots last to first: the search re-runs single
@@ -520,6 +539,48 @@ TEST_P(EvalTapeDifferential, TapeMatchesTreeEval) {
     for (size_t s = 0; s < tape.syms().size(); ++s) {
       auto it = model.find(tape.syms()[s]);
       EXPECT_EQ(back.at(tape.syms()[s]), it == model.end() ? 0u : it->second);
+    }
+  }
+}
+
+TEST_P(EvalTapeDifferential, ConeRunsMatchTreeEval) {
+  // The local search's pattern: one full run, then single-slot changes that
+  // re-run only the changed slot's cone in each root that reads it.
+  Rng rng(GetParam() * 0x7F4A7C15u + 3);
+  symex::ExprContext ctx;
+  std::vector<uint32_t> sym_ids;
+  std::vector<symex::ExprRef> roots = RandomTapeRoots(&rng, &ctx, &sym_ids);
+  // A root whose cone for `c` leaves out a shared subterm over `a` and `b`:
+  // a cone that re-ran too little or too much would show here first.
+  symex::ExprRef a = ctx.Sym("a");
+  symex::ExprRef b = ctx.Sym("b");
+  symex::ExprRef c = ctx.Sym("c");
+  symex::ExprRef ab = ctx.Bin(symex::BinOp::kMul, a, ctx.Add(a, b));
+  roots.push_back(ctx.Eq(ctx.Add(ab, ctx.Bin(symex::BinOp::kXor, ab, c)), ctx.Const(0x99)));
+  sym_ids.push_back(a->sym_id);
+  sym_ids.push_back(b->sym_id);
+  sym_ids.push_back(c->sym_id);
+
+  symex::EvalTape tape(roots);
+  symex::Model model = RandomTapeModel(&rng, sym_ids);
+  std::vector<uint32_t> slots = tape.Slots(model);
+  std::vector<uint32_t> value(roots.size());
+  for (size_t i = 0; i < roots.size(); ++i) {
+    value[i] = tape.Run(i, slots.data());
+  }
+  for (int change = 0; change < 200; ++change) {
+    uint32_t slot = rng.Below(static_cast<uint32_t>(slots.size()));
+    slots[slot] = rng.Below(3) == 0 ? rng.Below(40) : rng.Next32();
+    model[tape.syms()[slot]] = slots[slot];
+    for (size_t i = 0; i < roots.size(); ++i) {
+      std::span<const uint32_t> reads = tape.root_slots(i);
+      if (std::binary_search(reads.begin(), reads.end(), slot)) {
+        value[i] = tape.RunCone(tape.Cone(i, slot), slots.data());
+      }
+    }
+    for (size_t i = 0; i < roots.size(); ++i) {
+      ASSERT_EQ(value[i], symex::Eval(roots[i], model))
+          << "root " << i << " " << symex::ToString(roots[i]) << " change " << change;
     }
   }
 }

@@ -217,6 +217,24 @@ TEST_F(SolverTest, SearchPinUnsatEndsUnknown) {
   ExpectPin(&solver_, cs, {Verdict::kUnknown, {}, 2399, 2726749977579322079ull});
 }
 
+TEST_F(SolverTest, SearchPinTwoSlotsUnequalCones) {
+  // Each constraint joins a subterm of one symbol with a light use of the
+  // other, so changing one slot leaves the other slot's subterm out of the
+  // re-run: the cones of `a` and `b` differ in every constraint.
+  ExprRef a = ctx_.Sym("a");
+  ExprRef b = ctx_.Sym("b");
+  ExprRef heavy_a = ctx_.Bin(BinOp::kMul, ctx_.Add(a, ctx_.Const(0x1234)), a);
+  ExprRef heavy_b = ctx_.Bin(BinOp::kXor, ctx_.Bin(BinOp::kShl, b, ctx_.Const(3)),
+                             ctx_.Bin(BinOp::kLShr, b, ctx_.Const(5)));
+  std::vector<ExprRef> cs = {
+      ctx_.Bin(BinOp::kUlt, ctx_.And(ctx_.Add(heavy_a, b), ctx_.Const(0xFF)), ctx_.Const(0x30)),
+      ctx_.Bin(BinOp::kUlt, ctx_.And(ctx_.Bin(BinOp::kXor, heavy_b, a), ctx_.Const(0xF0)),
+               ctx_.Const(0x40)),
+      ctx_.Bin(BinOp::kNe, ctx_.And(ctx_.Add(heavy_a, heavy_b), ctx_.Const(0x3)), ctx_.Const(0)),
+  };
+  ExpectPin(&solver_, cs, {Verdict::kSat, {{0, 5}, {1, 3}}, 251, 12036054880848365863ull});
+}
+
 class SolverSweepTest : public ::testing::TestWithParam<uint32_t> {};
 
 TEST_P(SolverSweepTest, EqualityAlwaysSolvable) {
